@@ -1,4 +1,4 @@
-"""One model, three execution modes, identical results.
+"""One model, two execution modes, identical results.
 
 Slices only talk to their chain neighbors, and always consume the
 neighbor's previous-iteration values. That makes a run with one worker
@@ -13,13 +13,13 @@ import time
 import numpy as np
 
 from dtmgibbs import Hyperparams, TrainConfig, train
-from dtmgibbs.cluster import run_distributed, run_distributed_sockets
+from dtmgibbs.cluster import run_distributed_sockets
 from dtmgibbs.synthetic import generate_synthetic
 
 hyper = Hyperparams(K=4)
 corpus, _ = generate_synthetic(hyper, v=50, n_slices=4,
                                docs_per_slice=60, doc_len=50, seed=21)
-cfg = TrainConfig(iterations=20, minibatch_size=30, seed=9, threads_per_slice=1)
+cfg = TrainConfig(iterations=20, minibatch_size=30, seed=9)
 
 
 def fingerprint(state):
@@ -31,19 +31,12 @@ seq = train(corpus, hyper, cfg).state
 print(f"sequential engine:        {time.perf_counter() - t0:5.1f}s")
 
 t0 = time.perf_counter()
-inproc = run_distributed(corpus, hyper, cfg).state
-print(f"in-process workers:       {time.perf_counter() - t0:5.1f}s  "
-      f"(threads + channel transport)")
-
-t0 = time.perf_counter()
 with tempfile.TemporaryDirectory() as td:
     sock = run_distributed_sockets(corpus, hyper, cfg, td)
 print(f"socket workers:           {time.perf_counter() - t0:5.1f}s  "
       f"(one process per slice, loopback TCP)")
 
-a, b, c = fingerprint(seq), fingerprint(inproc), fingerprint(sock)
-print(f"\nsequential == in-process: {np.array_equal(a, b)}")
-print(f"sequential == sockets:    {np.array_equal(a, c)}")
+print(f"\nsequential == sockets:    {np.array_equal(fingerprint(seq), fingerprint(sock))}")
 
 msgs = 2 * (corpus.n_slices - 1) * 2 * cfg.iterations
 values = 2 * (corpus.n_slices - 1) * (hyper.K + hyper.K * corpus.vocabulary.size)

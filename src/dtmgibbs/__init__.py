@@ -1,8 +1,8 @@
 """Dynamic topic model training with a blockwise Gibbs sampler:
 exact Gaussian slice-mean draws, stochastic gradient Langevin dynamics
 for the logistic-normal parameters, and amortized-O(1) alias-table
-Metropolis-Hastings token sampling; runs single-threaded, multithreaded,
-or as per-time-slice workers exchanging boundary parameters.
+Metropolis-Hastings token sampling; runs in one process or as
+per-time-slice worker processes exchanging boundary parameters.
 """
 
 from .corpus import (Corpus, Document, HoldoutSplit, TimeSlice, Vocabulary,

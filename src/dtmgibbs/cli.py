@@ -65,7 +65,6 @@ _DEFAULTS = {
     "sigma2": "0.1",
     "beta2": "0.1",
     "psi2": "0.1",
-    "threads": "3",
     "checkpoint_every": "0",
     "test_fraction": "0.1",
     "heldout_fraction": "0.5",
@@ -76,7 +75,7 @@ _DEFAULTS = {
 
 _FLAG_KEYS = ("corpus", "out", "seed", "topics", "iterations", "minibatch",
               "eta_schedule", "phi_schedule", "sigma2", "beta2", "psi2",
-              "threads", "checkpoint_every", "test_fraction",
+              "checkpoint_every", "test_fraction",
               "heldout_fraction", "split_seed", "inner_steps", "format",
               "topology", "worker_id", "checkpoint")
 
@@ -85,7 +84,11 @@ def resolve_settings(args) -> dict:
     """defaults < config file < explicit flags, all as strings."""
     settings = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        settings.update(parse_config_file(args.config))
+        from_file = parse_config_file(args.config)
+        unknown = sorted(set(from_file).difference(_DEFAULTS, _FLAG_KEYS, ["config_path"]))
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown key(s) {', '.join(unknown)}")
+        settings.update(from_file)
         settings["config_path"] = args.config
     for key in _FLAG_KEYS:
         val = getattr(args, key, None)
@@ -136,7 +139,6 @@ def _hyper_and_config(settings):
                       minibatch_size=int(settings["minibatch"]),
                       schedule_eta=parse_schedule(settings["eta_schedule"]),
                       schedule_phi=parse_schedule(settings["phi_schedule"]),
-                      threads_per_slice=int(settings["threads"]),
                       seed=int(settings["seed"]),
                       checkpoint_every=int(settings["checkpoint_every"]))
     return hyper, cfg
@@ -244,10 +246,8 @@ def cmd_worker(args) -> int:
     import socket as socketlib
 
     from .cluster import (KIND_DONE, KIND_HELLO, KIND_HELLO_OK, KIND_METRICS,
-                          ProtocolError, SocketTransport, _adjacency,
-                          encode_frame, parse_topology, recv_frame, send_frame,
-                          worker_loop)
-    from .model import write_slice_checkpoint
+                          ProtocolError, encode_frame, parse_topology,
+                          recv_frame, run_worker, send_frame)
 
     settings = resolve_settings(args)
     out = Path(settings.get("out", "."))
@@ -269,6 +269,7 @@ def cmd_worker(args) -> int:
                           f"{train_corpus.n_slices}")
 
     coord = None
+    metrics_sink = None
     if topo.coordinator is not None:
         last = None
         for _ in range(100):  # the coordinator may still be starting up
@@ -290,25 +291,13 @@ def cmd_worker(args) -> int:
                   file=sys.stderr)
             return EXIT_PEER
 
-    left, right = _adjacency(assignment)[worker_id]
-    peers = {p: topo.workers[p] for p in (left, right) if p is not None}
-    transport = SocketTransport(worker_id, topo.workers[worker_id], peers)
-
-    def metrics_sink(row):
-        if coord is not None:
+        def metrics_sink(row):
             send_frame(coord, encode_frame(KIND_METRICS, row["iteration"], worker_id,
                                            json.dumps(row).encode()))
 
-    try:
-        res = worker_loop(worker_id, owned, train_corpus, hyper, cfg, transport,
-                          train_corpus.n_slices, left, right,
-                          metrics_sink=metrics_sink)
-    finally:
-        transport.close()
     ckpt_dir = Path(settings.get("checkpoint") or (out / "checkpoints"))
-    for t, sl in res.slices.items():
-        write_slice_checkpoint(ckpt_dir, sl, cfg.seed, cfg.iterations,
-                               train_corpus.n_slices)
+    run_worker(worker_id, assignment, topo.workers, train_corpus, hyper, cfg,
+               ckpt_dir, metrics_sink=metrics_sink)
     if coord is not None:
         # hold until the coordinator acknowledges the final checkpoint
         send_frame(coord, encode_frame(KIND_DONE, cfg.iterations, worker_id))
@@ -401,7 +390,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sigma2", type=float)
         sp.add_argument("--beta2", type=float)
         sp.add_argument("--psi2", type=float)
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
         sp.add_argument("--test-fraction", dest="test_fraction", type=float)
         sp.add_argument("--heldout-fraction", dest="heldout_fraction", type=float)

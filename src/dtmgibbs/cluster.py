@@ -10,7 +10,12 @@ Neighbor values consumed by the samplers are always the peer's
 previous-iteration values, which makes a distributed run numerically
 identical to the sequential engine.
 
-Wire format (also used verbatim over the in-process channel transport)::
+Workers run as separate processes, one per slice or per contiguous run
+of slices, joined by one TCP connection per adjacent pair;
+``run_worker`` is the entry point of a worker process, whether
+``run_distributed_sockets`` forks it or ``dtmgibbs worker`` starts it.
+
+Wire format::
 
     magic    4s   "DTMB"
     version  u8   1
@@ -32,16 +37,14 @@ from __future__ import annotations
 import os
 import socket
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
-from queue import Empty, SimpleQueue
 
 import numpy as np
 
 from .corpus import Corpus
-from .engine import TrainConfig, TrainResult, run_iteration
+from .engine import TrainConfig, run_iteration
 from .model import Hyperparams, ModelState, accumulate_counts, init_state
 from .samplers import NeighborContext
 
@@ -129,113 +132,78 @@ def decode_frame(data: bytes) -> Frame:
 
 
 # ---------------------------------------------------------------------------
-# Transports: in-process channels and length-prefixed sockets, interchangeable.
+# Transport: length-prefixed frames over one socket per adjacent peer.
 # ---------------------------------------------------------------------------
 
-class ChannelHub:
-    """Registry of in-process FIFO channels, one per (sender, receiver)."""
-
-    def __init__(self):
-        self._queues: dict[tuple[int, int], SimpleQueue] = {}
-        self._lock = threading.Lock()
-
-    def queue(self, src: int, dst: int) -> SimpleQueue:
-        with self._lock:
-            q = self._queues.get((src, dst))
-            if q is None:
-                q = self._queues[(src, dst)] = SimpleQueue()
-            return q
-
-    def endpoint(self, worker_id: int) -> "InProcessTransport":
-        return InProcessTransport(self, worker_id)
-
-
-class InProcessTransport:
-    """Queue-backed transport; frames cross as the same bytes a socket carries."""
-
-    def __init__(self, hub: ChannelHub, worker_id: int):
-        self.hub = hub
-        self.worker_id = worker_id
-
-    def send(self, to_id: int, data: bytes) -> None:
-        self.hub.queue(self.worker_id, to_id).put(data)
-
-    def recv(self, from_id: int, timeout: float = DEFAULT_TIMEOUT) -> bytes:
-        try:
-            return self.hub.queue(from_id, self.worker_id).get(timeout=timeout)
-        except Empty:
-            raise PeerDisconnected(f"worker {self.worker_id}: no frame from {from_id}")
-
-    def close(self) -> None:
-        pass
-
-
-def _read_exact(conn: socket.socket, n: int, who: str) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
+def _read_exact(conn: socket.socket, n: int, who: str) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        chunk = conn.recv_into(view[got:])
         if not chunk:
             raise PeerDisconnected(f"{who}: peer closed the connection")
-        buf += chunk
+        got += chunk
     return buf
 
 
 class SocketTransport:
-    """Length-prefixed frames over TCP, one connection per adjacent pair.
+    """Length-prefixed frames over already-connected sockets, one per peer.
 
-    The worker with the smaller id dials; the larger id accepts.  A
-    hello frame on connect identifies the dialing worker.
+    ``conns`` maps each adjacent worker id to its socket; every socket
+    gets ``timeout`` as its blocking timeout.  ``connect`` builds the
+    sockets over TCP.
     """
 
-    def __init__(self, worker_id: int, address, peers: dict,
-                 timeout: float = DEFAULT_TIMEOUT, connect_retries: int = 50):
+    def __init__(self, worker_id: int, conns: dict, timeout: float = DEFAULT_TIMEOUT):
         self.worker_id = worker_id
-        self.timeout = timeout
-        self.connect_retries = connect_retries
-        self._conns: dict[int, socket.socket] = {}
-        self._listener = None
-        need_accept = [p for p in peers if p > worker_id]
-        if need_accept:
-            self._listener = socket.create_server(address, reuse_port=False)
-            self._listener.settimeout(timeout)
-        for peer_id, addr in sorted(peers.items()):
-            if peer_id < worker_id:
-                self._conns[peer_id] = self._dial(peer_id, addr)
-        for _ in need_accept:
-            conn, _ = self._listener.accept()
+        self._conns = dict(conns)
+        for conn in self._conns.values():
             conn.settimeout(timeout)
-            hello = decode_frame(_read_exact(conn, self._next_len(conn), f"worker {worker_id}"))
-            if hello.kind != KIND_HELLO:
-                raise ProtocolError("expected hello frame on accept")
-            self._conns[hello.sender] = conn
 
-    def _dial(self, peer_id: int, addr) -> socket.socket:
-        last = None
-        for _ in range(self.connect_retries):
-            try:
-                conn = socket.create_connection(addr, timeout=self.timeout)
-                conn.settimeout(self.timeout)
-                frame = encode_frame(KIND_HELLO, 0, self.worker_id)
-                conn.sendall(struct.pack("<I", len(frame)) + frame)
-                return conn
-            except OSError as exc:
-                last = exc
-                time.sleep(0.1)
-        raise PeerDisconnected(f"worker {self.worker_id}: cannot reach {peer_id} at {addr}: {last}")
+    @classmethod
+    def connect(cls, worker_id: int, address, peers: dict,
+                timeout: float = DEFAULT_TIMEOUT,
+                connect_retries: int = 50) -> "SocketTransport":
+        """Dial the peers with smaller ids and accept the larger ones.
 
-    @staticmethod
-    def _next_len(conn: socket.socket) -> int:
-        (n,) = struct.unpack("<I", _read_exact(conn, 4, "frame length"))
-        return n
+        The dialing worker identifies itself with a hello frame.
+        ``peers`` maps peer id to (host, port); ``address`` is where
+        this worker listens.
+        """
+        conns = {}
+        need_accept = [p for p in peers if p > worker_id]
+        listener = None
+        try:
+            if need_accept:
+                listener = socket.create_server(address, reuse_port=False)
+                listener.settimeout(timeout)
+            for peer_id, addr in sorted(peers.items()):
+                if peer_id < worker_id:
+                    conns[peer_id] = _dial(worker_id, peer_id, addr, timeout,
+                                           connect_retries)
+            for _ in need_accept:
+                conn, _ = listener.accept()
+                conn.settimeout(timeout)
+                hello = recv_frame(conn)
+                if hello.kind != KIND_HELLO:
+                    conn.close()
+                    raise ProtocolError("expected hello frame on accept")
+                conns[hello.sender] = conn
+        except BaseException:
+            for conn in conns.values():
+                conn.close()
+            raise
+        finally:
+            if listener is not None:
+                listener.close()
+        return cls(worker_id, conns, timeout)
 
     def send(self, to_id: int, data: bytes) -> None:
-        conn = self._conns[to_id]
-        conn.sendall(struct.pack("<I", len(data)) + data)
+        send_frame(self._conns[to_id], data)
 
-    def recv(self, from_id: int, timeout: float | None = None) -> bytes:
-        conn = self._conns[from_id]
-        who = f"worker {self.worker_id} <- {from_id}"
-        return _read_exact(conn, self._next_len(conn), who)
+    def recv(self, from_id: int) -> bytearray:
+        return _recv_bytes(self._conns[from_id], f"worker {self.worker_id} <- {from_id}")
 
     def close(self) -> None:
         for conn in self._conns.values():
@@ -243,8 +211,33 @@ class SocketTransport:
                 conn.close()
             except OSError:
                 pass
-        if self._listener is not None:
-            self._listener.close()
+
+
+def _dial(worker_id: int, peer_id: int, addr, timeout: float,
+          retries: int) -> socket.socket:
+    last = None
+    for _ in range(retries):
+        try:
+            conn = socket.create_connection(addr, timeout=timeout)
+            send_frame(conn, encode_frame(KIND_HELLO, 0, worker_id))
+            return conn
+        except OSError as exc:
+            last = exc
+            time.sleep(0.1)
+    raise PeerDisconnected(f"worker {worker_id}: cannot reach {peer_id} at {addr}: {last}")
+
+
+def send_frame(conn: socket.socket, data: bytes) -> None:
+    conn.sendall(struct.pack("<I", len(data)) + data)
+
+
+def _recv_bytes(conn: socket.socket, who: str) -> bytearray:
+    (n,) = struct.unpack("<I", _read_exact(conn, 4, who))
+    return _read_exact(conn, n, who)
+
+
+def recv_frame(conn: socket.socket) -> Frame:
+    return decode_frame(_recv_bytes(conn, "frame"))
 
 
 # ---------------------------------------------------------------------------
@@ -413,63 +406,32 @@ def _adjacency(assignment: dict) -> dict:
     return out
 
 
-def run_distributed(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig,
-                    assignment: dict | None = None, *,
-                    state: ModelState | None = None,
-                    start_iteration: int = 0) -> TrainResult:
-    """In-process distributed run: one thread per worker, channel transport.
+def run_worker(worker_id: int, assignment: dict, addresses: dict,
+               corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig,
+               checkpoint_dir, *, start_iteration: int = 0,
+               initial: dict | None = None, metrics_sink=None) -> WorkerResult:
+    """One worker process: connect to the chain neighbours, train the
+    owned slices, and write their checkpoints.
 
-    Produces the same final state as engine.train for any worker layout,
-    because every sampler consumes previous-iteration neighbor values in
-    both modes.
+    ``assignment`` maps every worker id to its slices and ``addresses``
+    every worker id to its (host, port).  The checkpoints are stamped
+    ``start_iteration + cfg.iterations``.
     """
-    n = corpus.n_slices
-    if assignment is None:
-        assignment = default_topology(n)
-    adjacency = _adjacency(assignment)
-    hub = ChannelHub()
-    if state is not None:
-        initial = {w: {t: state.slices[t - 1] for t in owned}
-                   for w, owned in assignment.items()}
-    else:
-        initial = {w: None for w in assignment}
-
-    results: dict[int, WorkerResult] = {}
-    errors: list = []
-
-    def run_worker(w):
-        try:
-            left, right = adjacency[w]
-            results[w] = worker_loop(w, assignment[w], corpus, hyper, cfg,
-                                     hub.endpoint(w), n, left, right,
-                                     initial=initial[w],
-                                     start_iteration=start_iteration)
-        except BaseException as exc:  # noqa: BLE001 - worker failure fails the run
-            errors.append((w, exc))
-
-    threads = [threading.Thread(target=run_worker, args=(w,), name=f"worker-{w}")
-               for w in assignment]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if errors:
-        w, exc = errors[0]
-        raise RuntimeError(f"worker {w} failed") from exc
-
-    slices = [None] * n
-    counts = [None] * n
-    metrics = []
-    for res in results.values():
-        for t, sl in res.slices.items():
-            slices[t - 1] = sl
-            counts[t - 1] = res.counts[t]
-        metrics.extend(res.metrics)
-    metrics.sort(key=lambda r: (r["iteration"], r["slice"]))
-    final = ModelState(hyper=hyper, slices=slices, counts=counts,
-                       vocabulary_size=corpus.vocabulary.size)
-    return TrainResult(state=final, metrics=metrics,
-                       iterations_done=start_iteration + cfg.iterations)
+    left, right = _adjacency(assignment)[worker_id]
+    peers = {p: addresses[p] for p in (left, right) if p is not None}
+    transport = SocketTransport.connect(worker_id, addresses[worker_id], peers)
+    try:
+        res = worker_loop(worker_id, assignment[worker_id], corpus, hyper, cfg,
+                          transport, corpus.n_slices, left, right,
+                          initial=initial, start_iteration=start_iteration,
+                          metrics_sink=metrics_sink)
+    finally:
+        transport.close()
+    from .model import write_slice_checkpoint  # call-time lookup: tracers rebind it
+    for sl in res.slices.values():
+        write_slice_checkpoint(checkpoint_dir, sl, cfg.seed,
+                               start_iteration + cfg.iterations, corpus.n_slices)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -496,34 +458,6 @@ class Topology:
         return {w: list(self.slices.get(w, [w])) for w in self.workers}
 
 
-def send_frame(conn: socket.socket, data: bytes) -> None:
-    conn.sendall(struct.pack("<I", len(data)) + data)
-
-
-def recv_frame(conn: socket.socket) -> Frame:
-    (n,) = struct.unpack("<I", _read_exact(conn, 4, "frame length"))
-    return decode_frame(_read_exact(conn, n, "frame body"))
-
-
-def _socket_worker_main(worker_id: int, assignment: dict, addresses: dict,
-                        corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig,
-                        out_dir, start_iteration: int, initial):
-    adjacency = _adjacency(assignment)
-    left, right = adjacency[worker_id]
-    peers = {p: addresses[p] for p in (left, right) if p is not None}
-    transport = SocketTransport(worker_id, addresses[worker_id], peers)
-    try:
-        res = worker_loop(worker_id, assignment[worker_id], corpus, hyper, cfg,
-                          transport, corpus.n_slices, left, right,
-                          initial=initial, start_iteration=start_iteration)
-    finally:
-        transport.close()
-    from .model import write_slice_checkpoint
-    for t, sl in res.slices.items():
-        write_slice_checkpoint(out_dir, sl, cfg.seed,
-                               start_iteration + cfg.iterations, corpus.n_slices)
-
-
 def free_ports(n: int) -> list:
     socks = [socket.create_server(("127.0.0.1", 0)) for _ in range(n)]
     ports = [s.getsockname()[1] for s in socks]
@@ -540,7 +474,7 @@ def run_distributed_sockets(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig
 
     Workers write per-slice checkpoints into ``out_dir``; the assembled
     final state is loaded back from them.  Numerically identical to the
-    in-process and sequential runners.
+    sequential runner.
     """
     import multiprocessing as mp
 
@@ -557,9 +491,10 @@ def run_distributed_sockets(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig
                    for w, owned in assignment.items()}
 
     ctx = mp.get_context("fork")
-    procs = [ctx.Process(target=_socket_worker_main,
-                         args=(w, assignment, addresses, corpus, hyper, cfg,
-                               out_dir, start_iteration, initial[w]),
+    procs = [ctx.Process(target=run_worker,
+                         args=(w, assignment, addresses, corpus, hyper, cfg, out_dir),
+                         kwargs=dict(start_iteration=start_iteration,
+                                     initial=initial[w]),
                          name=f"worker-{w}")
              for w in sorted(assignment)]
     for p in procs:

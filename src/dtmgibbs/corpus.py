@@ -6,8 +6,8 @@ The on-disk training format is one document per line::
 
 Time slices are the distinct timestamp keys in ascending order (numeric
 when every key parses as an integer, lexicographic otherwise).  All
-types here are immutable after construction and safe to share read-only
-across threads.
+types here are immutable after construction and safe to share read-only,
+for example with forked worker processes.
 """
 
 from __future__ import annotations

@@ -1,18 +1,16 @@
 """Per-slice training loop: mini-batch selection, the Jacobi-relaxed
-block updates (eta | phi | z in parallel against a frozen snapshot),
-then the exact alpha draw.
+block updates (eta, phi and z, each against a frozen snapshot), then
+the exact alpha draw.
 
 Every random draw comes from a stream keyed by logical coordinates
 (seed, block, slice, iteration, unit), so the result is identical for
-any thread count and for a resumed run.
+any worker layout and for a resumed run.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +44,6 @@ class TrainConfig:
     minibatch_size: int = 60
     schedule_eta: SgldSchedule = field(default_factory=lambda: SgldSchedule(0.5, 100, 0.8))
     schedule_phi: SgldSchedule = field(default_factory=lambda: SgldSchedule(0.5, 100, 0.8))
-    threads_per_slice: int = 3
     seed: int = 0
     checkpoint_every: int = 0          # 0: only the final checkpoint
     checkpoint_dir: str | None = None
@@ -58,8 +55,6 @@ class TrainConfig:
             raise ValueError("iterations must be >= 0")
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be >= 1")
-        if self.threads_per_slice < 1:
-            raise ValueError("threads_per_slice must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -82,23 +77,15 @@ def select_minibatch(n_docs: int, d_m: int, rng: np.random.Generator) -> np.ndar
     return np.sort(rng.choice(n_docs, size=d_m, replace=False)).astype(np.int64)
 
 
-def _chunks(items, n_chunks: int):
-    items = list(items)
-    if not items:
-        return []
-    n_chunks = min(n_chunks, len(items))
-    return [list(c) for c in np.array_split(np.asarray(items, dtype=np.int64), n_chunks)]
-
-
 def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
                   neighbors_phi: NeighborContext, hyper: Hyperparams,
                   cfg: TrainConfig, iteration: int) -> tuple[SliceState, CountSet, dict]:
     """Advance one slice by one iteration against its frozen snapshot.
 
-    Block order: counts, then (eta | phi | z) which read only the
-    snapshot and may run on separate threads, then alpha from the
-    post-update eta mean.  Returns the next slice state, the mini-batch
-    counts, and a metrics row.
+    Block order: counts, then eta, phi and z, which read only the
+    snapshot and write only their own output arrays, then alpha from
+    the post-update eta mean.  Returns the next slice state, the
+    mini-batch counts, and a metrics row.
     """
     t = prev.slice_index
     seed = cfg.seed
@@ -113,8 +100,6 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     if cfg.debug_checks:
         snapshot.counts.validate(prev.tokens)
 
-    # every block below reads only the snapshot and writes only its own
-    # output arrays; that is what lets them run on separate threads
     snap = snapshot.state
     counts = snapshot.counts
 
@@ -125,65 +110,38 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     eta_next = snap.eta.copy()
     phi_next = np.empty_like(snap.phi)
     z_next = list(snap.z)
-    timings = {}
-    timings_lock = threading.Lock()
 
-    def add_timing(key, start):
-        with timings_lock:
-            timings[key] = timings.get(key, 0.0) + (time.perf_counter() - start)
+    t0 = time.perf_counter()
+    try:
+        for d in minibatch:
+            g = grad_log_post_eta(snap.eta[d], snap.alpha, counts.c_doc[d],
+                                  len(snap.tokens[d]), hyper.psi2,
+                                  snap.eta_log_norm[d])
+            eta_next[d] = sgld_update_eta(snap.eta[d], g, eps_eta,
+                                          rng_for(seed, "eta", t, iteration, d))
+    except FloatingPointError as exc:
+        raise NumericError("eta", t, iteration) from exc
+    ms_eta = (time.perf_counter() - t0) * 1e3
 
-    def eta_block(docs):
-        start = time.perf_counter()
-        try:
-            for d in docs:
-                g = grad_log_post_eta(snap.eta[d], snap.alpha, counts.c_doc[d],
-                                      len(snap.tokens[d]), hyper.psi2,
-                                      snap.eta_log_norm[d])
-                eta_next[d] = sgld_update_eta(snap.eta[d], g, eps_eta,
-                                              rng_for(seed, "eta", t, iteration, d))
-        except FloatingPointError as exc:
-            raise NumericError("eta", t, iteration) from exc
-        add_timing("eta", start)
+    t0 = time.perf_counter()
+    try:
+        for k in range(hyper.K):
+            g = grad_log_post_phi(snap.phi[k], neighbors_phi.row(k),
+                                  counts.c_word_topic[k], int(counts.c_topic[k]),
+                                  hyper.beta2, batch_scale, snap.phi_log_norm[k])
+            phi_next[k] = sgld_update_phi(snap.phi[k], g, eps_phi,
+                                          rng_for(seed, "phi", t, iteration, k))
+    except FloatingPointError as exc:
+        raise NumericError("phi", t, iteration) from exc
+    ms_phi = (time.perf_counter() - t0) * 1e3
 
-    def phi_block(rows):
-        start = time.perf_counter()
-        try:
-            for k in rows:
-                g = grad_log_post_phi(snap.phi[k], neighbors_phi.row(k),
-                                      counts.c_word_topic[k], int(counts.c_topic[k]),
-                                      hyper.beta2, batch_scale, snap.phi_log_norm[k])
-                phi_next[k] = sgld_update_phi(snap.phi[k], g, eps_phi,
-                                              rng_for(seed, "phi", t, iteration, k))
-        except FloatingPointError as exc:
-            raise NumericError("phi", t, iteration) from exc
-        add_timing("phi", start)
-
-    start_z = time.perf_counter()
+    t0 = time.perf_counter()
     proposals = rebuild_proposals(snap, minibatch, iteration,
                                   rng_for(seed, "tables", t, iteration))
-    ms_tables = time.perf_counter() - start_z
-
-    def z_block(docs):
-        start = time.perf_counter()
-        for d in docs:
-            z_next[d] = mh_sweep_document(snap, d, proposals,
-                                          rng_for(seed, "z", t, iteration, d))
-        add_timing("z", start)
-
-    n_threads = cfg.threads_per_slice
-    if n_threads == 1:
-        eta_block(minibatch)
-        phi_block(range(hyper.K))
-        z_block(minibatch)
-    else:
-        per_block = max(1, n_threads // 3)
-        tasks = ([(eta_block, c) for c in _chunks(minibatch, per_block)]
-                 + [(phi_block, c) for c in _chunks(range(hyper.K), per_block)]
-                 + [(z_block, c) for c in _chunks(minibatch, per_block)])
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = [pool.submit(fn, chunk) for fn, chunk in tasks]
-            for f in futures:
-                f.result()
+    for d in minibatch:
+        z_next[d] = mh_sweep_document(snap, d, proposals,
+                                      rng_for(seed, "z", t, iteration, d))
+    ms_z = (time.perf_counter() - t0) * 1e3
 
     if not np.all(np.isfinite(eta_next)):
         raise NumericError("eta", t, iteration)
@@ -212,9 +170,9 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     lj = log_joint_proxy(nxt, neighbors_alpha, neighbors_phi, minibatch, hyper)
     row = {"iteration": iteration, "slice": t,
            "ms_counts": round(ms_counts, 3),
-           "ms_eta": round(timings.get("eta", 0.0) * 1e3, 3),
-           "ms_phi": round(timings.get("phi", 0.0) * 1e3, 3),
-           "ms_z": round((timings.get("z", 0.0) + ms_tables) * 1e3, 3),
+           "ms_eta": round(ms_eta, 3),
+           "ms_phi": round(ms_phi, 3),
+           "ms_z": round(ms_z, 3),
            "ms_alpha": round(ms_alpha, 3),
            "log_joint": lj, "eps_eta": eps_eta, "eps_phi": eps_phi}
     return nxt, counts, row

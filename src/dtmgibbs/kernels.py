@@ -35,9 +35,9 @@ def rng_for(master_seed: int, *path) -> np.random.Generator:
 
     The key is a 128-bit digest of the seed and the path components
     (ints or strings), fed to a Philox generator.  Identical keys give
-    identical streams no matter which thread or process asks, which is
-    what makes thread-count-invariant and resumable runs possible: every
-    consumer derives its stream from logical coordinates such as
+    identical streams no matter which process asks, which is what makes
+    layout-invariant and resumable runs possible: every consumer derives
+    its stream from logical coordinates such as
     ``(slice, block, iteration, document)``, never from scheduling order.
     """
     h = hashlib.blake2b(digest_size=16)

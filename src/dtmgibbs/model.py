@@ -244,8 +244,15 @@ def write_checkpoint(directory, state: ModelState, master_seed: int, iteration: 
 
 
 def read_slice_checkpoint(path) -> dict:
-    """Decode one slice file into a dict of arrays plus header fields."""
+    """Decode one slice file into a dict of arrays plus header fields.
+
+    A file shorter than its header or its declared arrays raises
+    ValueError.
+    """
     blob = Path(path).read_bytes()
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
+                         f"its header needs {_HEADER.size})")
     magic, version, master_seed, iteration, t_total, k, v, d_t, slice_index = \
         _HEADER.unpack_from(blob, 0)
     if magic != CHECKPOINT_MAGIC:
@@ -253,15 +260,22 @@ def read_slice_checkpoint(path) -> dict:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     off = _HEADER.size
-    alpha = np.frombuffer(blob, "<f8", count=k, offset=off).copy()
-    off += 8 * k
-    phi = np.frombuffer(blob, "<f8", count=k * v, offset=off).reshape(k, v).copy()
-    off += 8 * k * v
-    eta = np.frombuffer(blob, "<f8", count=d_t * k, offset=off).reshape(d_t, k).copy()
-    off += 8 * d_t * k
-    lengths = np.frombuffer(blob, "<u4", count=d_t, offset=off).copy()
-    off += 4 * d_t
-    z_flat = np.frombuffer(blob, "<i4", count=int(lengths.sum()), offset=off)
+
+    def take(dtype: str, count: int) -> np.ndarray:
+        nonlocal off
+        end = off + np.dtype(dtype).itemsize * count
+        if end > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
+                             f"its arrays need at least {end})")
+        arr = np.frombuffer(blob, dtype, count=count, offset=off)
+        off = end
+        return arr
+
+    alpha = take("<f8", k).copy()
+    phi = take("<f8", k * v).reshape(k, v).copy()
+    eta = take("<f8", d_t * k).reshape(d_t, k).copy()
+    lengths = take("<u4", d_t).copy()
+    z_flat = take("<i4", int(lengths.sum()))
     z = []
     pos = 0
     for n in lengths:
@@ -275,7 +289,9 @@ def read_slice_checkpoint(path) -> dict:
 def load_checkpoint(directory, corpus: Corpus, hyper: Hyperparams) -> tuple[ModelState, int, int]:
     """Rebuild a ModelState from per-slice files; returns (state, seed, iteration).
 
-    Dimensions must match the corpus and hyperparameters exactly.
+    Dimensions must match the corpus and hyperparameters exactly, and
+    every slice file must carry the same master seed and iteration; a
+    torn set raises ValueError.
     """
     directory = Path(directory)
     slices = []
@@ -284,6 +300,12 @@ def load_checkpoint(directory, corpus: Corpus, hyper: Hyperparams) -> tuple[Mode
     iteration = None
     for sl in corpus.slices:
         data = read_slice_checkpoint(checkpoint_path(directory, sl.slice_index))
+        if master_seed is not None and (data["master_seed"], data["iteration"]) != (
+                master_seed, iteration):
+            raise ValueError(f"torn checkpoint set: slice {sl.slice_index} is from seed "
+                             f"{data['master_seed']} iteration {data['iteration']}, "
+                             f"earlier slices from seed {master_seed} iteration {iteration}")
+        master_seed, iteration = data["master_seed"], data["iteration"]
         if data["K"] != hyper.K or data["V"] != corpus.vocabulary.size:
             raise ValueError(f"checkpoint dims (K={data['K']}, V={data['V']}) do not match "
                              f"model (K={hyper.K}, V={corpus.vocabulary.size})")
@@ -297,8 +319,6 @@ def load_checkpoint(directory, corpus: Corpus, hyper: Hyperparams) -> tuple[Mode
                            data["eta"], data["z"])
         slices.append(state)
         counts.append(accumulate_counts(state, range(sl.n_docs)))
-        master_seed = data["master_seed"]
-        iteration = data["iteration"]
     model = ModelState(hyper=hyper, slices=slices, counts=counts,
                        vocabulary_size=corpus.vocabulary.size)
     return model, int(master_seed), int(iteration)

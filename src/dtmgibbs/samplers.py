@@ -291,7 +291,7 @@ def mh_sweep_document(slice_state: SliceState, d: int, proposals: MhProposalStat
     proposals drain the document's own pool; word proposals are drawn
     straight from the stacked word tables with this document's stream,
     so the sweep's output depends only on (document, iteration), never
-    on how documents are divided among threads.
+    on the order in which documents are swept.
     """
     w = slice_state.tokens[d]
     z = slice_state.z[d]

@@ -19,7 +19,7 @@ import pytest
 from conftest import enumerate_alias_measure, states_equal
 from scipy import stats
 
-from dtmgibbs.cluster import run_distributed, run_distributed_sockets
+from dtmgibbs.cluster import run_distributed_sockets
 from dtmgibbs.corpus import split_holdout
 from dtmgibbs.engine import TrainConfig, train
 from dtmgibbs.evaluation import EvalConfig, perplexity
@@ -222,8 +222,7 @@ C6_CHECKPOINTS = (10, 50, 200)
 
 def _c6_run_seed(seed: int):
     hyper, split = _C6["hyper"], _C6["split"]
-    cfg_kw = dict(minibatch_size=60, threads_per_slice=1, seed=seed,
-                  debug_checks=(seed == 0))
+    cfg_kw = dict(minibatch_size=60, seed=seed, debug_checks=(seed == 0))
     ppl = []
     state = None
     done = 0
@@ -310,17 +309,15 @@ class TestCriterion8Distributed:
             corpus, _ = generate_synthetic(hyper, v=30, n_slices=t_slices,
                                            docs_per_slice=15, doc_len=20,
                                            seed=800 + t_slices)
-            cfg = TrainConfig(iterations=4, minibatch_size=6, seed=801,
-                              threads_per_slice=1)
+            cfg = TrainConfig(iterations=4, minibatch_size=6, seed=801)
             seq = train(corpus, hyper, cfg).state
-            inproc = run_distributed(corpus, hyper, cfg).state
             sock = run_distributed_sockets(corpus, hyper, cfg,
                                            tmp_path / f"ck{t_slices}")
-            same = states_equal(seq, inproc) and states_equal(seq, sock)
+            same = states_equal(seq, sock)
             details.append(f"T={t_slices}: {'identical' if same else 'DIVERGED'}")
             assert same
         report(8, "distributed equivalence", True,
-               "sequential == in-process workers == socket workers, bitwise "
+               "sequential == socket workers, bitwise "
                f"({'; '.join(details)})")
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 8,
@@ -337,8 +334,7 @@ class TestCriterion8Distributed:
                                       seed=810 + t_slices)
             return c
 
-        cfg = TrainConfig(iterations=12, minibatch_size=40, seed=811,
-                          threads_per_slice=1)
+        cfg = TrainConfig(iterations=12, minibatch_size=40, seed=811)
 
         def wall_distributed(corpus, tag):
             start = time.perf_counter()

@@ -81,6 +81,19 @@ class TestTrainCommand:
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["train", "--no-such-flag"]) == 1
 
+    def test_retired_threads_flag_exit_1(self, tmp_path, corpus_file):
+        code, _ = run_train(tmp_path, corpus_file, extra=["--threads", "3"])
+        assert code == 1
+
+    def test_unknown_config_key_exit_1(self, tmp_path, corpus_file, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("topics = 3\nthreads = 3\n", encoding="utf-8")
+        code = main(["train", "--config", str(cfg_file),
+                     "--corpus", str(corpus_file), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_exit_3(self, tmp_path, corpus_file, capsys):
         code, _ = run_train(tmp_path, corpus_file,
@@ -113,6 +126,16 @@ class TestEvalCommand:
               "--topics", "3", "--inner-steps", "5"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["heldout_fraction"] == "0.5"
+
+    def test_short_checkpoint_exit_2(self, tmp_path, corpus_file, capsys):
+        code, out = run_train(tmp_path, corpus_file)
+        assert code == 0
+        ckpt = out / "checkpoints" / "slice_0002.dtmc"
+        ckpt.write_bytes(ckpt.read_bytes()[:20])   # shorter than the header
+        code = main(["eval", "--corpus", str(corpus_file), "--out", str(out),
+                     "--topics", "3", "--inner-steps", "5"])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_2(self, tmp_path, corpus_file):
         code, out = run_train(tmp_path, corpus_file)

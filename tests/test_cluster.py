@@ -1,17 +1,23 @@
+import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import states_equal
 
-from dtmgibbs.cluster import (KIND_ALPHA, KIND_PHI, BoundaryMessage, ChannelHub,
-                              ProtocolError, Topology, _recv_with_retry,
-                              decode_frame, default_topology,
-                              exchange_boundaries, parse_topology,
-                              run_distributed, run_distributed_sockets)
+from dtmgibbs.cluster import (KIND_ALPHA, KIND_PHI, BoundaryMessage,
+                              ProtocolError, SocketTransport, Topology,
+                              _adjacency, _recv_with_retry, decode_frame,
+                              default_topology, exchange_boundaries,
+                              parse_topology, run_distributed_sockets,
+                              worker_loop)
 from dtmgibbs.engine import TrainConfig, train
 from dtmgibbs.model import Hyperparams
 from dtmgibbs.synthetic import generate_synthetic
+
+# short enough that a protocol hang fails the test quickly
+TIMEOUT = 10.0
 
 
 class TestFrames:
@@ -50,8 +56,8 @@ class _Counting:
                              len(frame.payload)))
         self.inner.send(to_id, data)
 
-    def recv(self, from_id, timeout=10.0):
-        return self.inner.recv(from_id, timeout)
+    def recv(self, from_id):
+        return self.inner.recv(from_id)
 
 
 class _CorruptOnce:
@@ -66,8 +72,8 @@ class _CorruptOnce:
     def send(self, to_id, data):
         self.inner.send(to_id, data)
 
-    def recv(self, from_id, timeout=10.0):
-        data = self.inner.recv(from_id, timeout)
+    def recv(self, from_id):
+        data = self.inner.recv(from_id)
         frame = decode_frame(data)
         if frame.kind == KIND_ALPHA and (self.always or not self.done):
             self.done = True
@@ -77,33 +83,81 @@ class _CorruptOnce:
         return data
 
 
-def _pair_exchange(transport_a, transport_b, k=3, v=4):
-    """Run one boundary exchange between workers 1 and 2 on two threads."""
+def _socketpair_transports(assignment):
+    """One SocketTransport per worker; adjacent workers share a socketpair."""
+    conns = {w: {} for w in assignment}
+    for w, (_, right) in _adjacency(assignment).items():
+        if right is not None:
+            conns[w][right], conns[right][w] = socket.socketpair()
+    return {w: SocketTransport(w, c, timeout=TIMEOUT) for w, c in conns.items()}
+
+
+def _on_threads(jobs):
+    """Run {key: callable} on one test thread each; returns (results, errors)."""
+    out, errs = {}, {}
+
+    def run(key, fn):
+        try:
+            out[key] = fn()
+        except Exception as exc:  # noqa: BLE001
+            errs[key] = exc
+
+    threads = [threading.Thread(target=run, args=item) for item in jobs.items()]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=6 * TIMEOUT)
+        assert not th.is_alive(), f"{th.name} still running"
+    return out, errs
+
+
+def _pair_exchange(wrap2=lambda tr: tr, k=3, v=4):
+    """Run one boundary exchange between workers 1 and 2 over a socketpair."""
     alpha1, phi1 = np.ones(k), np.ones((k, v))
     alpha2, phi2 = 2 * np.ones(k), 2 * np.ones((k, v))
-    out = {}
-    errs = {}
+    transports = _socketpair_transports({1: [1], 2: [2]})
+    try:
+        return _on_threads({
+            1: lambda: exchange_boundaries(transports[1], 1, 0,
+                                           send_right=(1, alpha1, phi1), right_peer=2),
+            2: lambda: exchange_boundaries(wrap2(transports[2]), 2, 0,
+                                           send_left=(2, alpha2, phi2), left_peer=1),
+        })
+    finally:
+        for tr in transports.values():
+            tr.close()
 
-    def run(wid, transport, send_right, send_left):
-        try:
-            out[wid] = exchange_boundaries(
-                transport, wid, 0,
-                send_left=send_left, send_right=send_right,
-                left_peer=1 if wid == 2 else None,
-                right_peer=2 if wid == 1 else None)
-        except Exception as exc:  # noqa: BLE001
-            errs[wid] = exc
 
-    t1 = threading.Thread(target=run, args=(1, transport_a, (1, alpha1, phi1), None))
-    t2 = threading.Thread(target=run, args=(2, transport_b, None, (2, alpha2, phi2)))
-    t1.start(); t2.start(); t1.join(); t2.join()
-    return out, errs
+def _run_workers(corpus, hyper, cfg, log=None):
+    """worker_loop for every worker of the 1:1 layout on test threads,
+    over socketpairs; returns {worker: WorkerResult}."""
+    assignment = default_topology(corpus.n_slices)
+    adjacency = _adjacency(assignment)
+    transports = _socketpair_transports(assignment)
+
+    def job(w):
+        tr = transports[w] if log is None else _Counting(transports[w], log)
+        left, right = adjacency[w]
+        return lambda: worker_loop(w, assignment[w], corpus, hyper, cfg, tr,
+                                   corpus.n_slices, left, right)
+
+    try:
+        results, errs = _on_threads({w: job(w) for w in assignment})
+    finally:
+        for tr in transports.values():
+            tr.close()
+    assert not errs, errs
+    return results
+
+
+def _as_state(results):
+    slices = {t: sl for res in results.values() for t, sl in res.slices.items()}
+    return SimpleNamespace(slices=[slices[t] for t in sorted(slices)])
 
 
 class TestExchange:
     def test_two_workers_swap_values(self):
-        hub = ChannelHub()
-        out, errs = _pair_exchange(hub.endpoint(1), hub.endpoint(2))
+        out, errs = _pair_exchange()
         assert not errs
         a, p = out[1]["right"]
         np.testing.assert_array_equal(a, 2 * np.ones(3))
@@ -111,51 +165,42 @@ class TestExchange:
         np.testing.assert_array_equal(p, np.ones((3, 4)))
 
     def test_corrupted_frame_retransmitted_once(self):
-        hub = ChannelHub()
-        out, errs = _pair_exchange(hub.endpoint(1), _CorruptOnce(hub.endpoint(2)))
+        out, errs = _pair_exchange(_CorruptOnce)
         assert not errs
         np.testing.assert_array_equal(out[2]["left"][0], np.ones(3))
 
     def test_persistent_corruption_fails(self):
-        hub = ChannelHub()
-        out, errs = _pair_exchange(hub.endpoint(1),
-                                   _CorruptOnce(hub.endpoint(2), always=True))
+        out, errs = _pair_exchange(lambda tr: _CorruptOnce(tr, always=True))
         assert 2 in errs and isinstance(errs[2], ProtocolError)
 
     def test_iteration_mismatch_is_protocol_error(self):
-        hub = ChannelHub()
-        sender = hub.endpoint(1)
-        receiver = hub.endpoint(2)
-        sender.send(2, BoundaryMessage(9, 1, KIND_ALPHA, np.zeros(2)).encode())
-        with pytest.raises(ProtocolError, match="iteration mismatch"):
-            _recv_with_retry(receiver, 1, KIND_ALPHA, 3, 2)
+        transports = _socketpair_transports({1: [1], 2: [2]})
+        sender, receiver = transports[1], transports[2]
+        try:
+            sender.send(2, BoundaryMessage(9, 1, KIND_ALPHA, np.zeros(2)).encode())
+            with pytest.raises(ProtocolError, match="iteration mismatch"):
+                _recv_with_retry(receiver, 1, KIND_ALPHA, 3, 2)
+        finally:
+            sender.close()
+            receiver.close()
 
 
 class TestDistributedRuns:
-    @staticmethod
-    def _counting_hub(monkeypatch):
-        import dtmgibbs.cluster as cluster_mod
+    def test_single_slice_no_messages(self):
         log = []
-        orig = cluster_mod.ChannelHub.endpoint
-        monkeypatch.setattr(cluster_mod.ChannelHub, "endpoint",
-                            lambda self, wid: _Counting(orig(self, wid), log))
-        return log
-
-    def test_single_slice_no_messages(self, monkeypatch):
-        log = self._counting_hub(monkeypatch)
         hyper = Hyperparams(K=2)
         corpus, _ = generate_synthetic(hyper, v=10, n_slices=1,
                                        docs_per_slice=6, doc_len=8, seed=0)
-        res = run_distributed(corpus, hyper,
-                              TrainConfig(iterations=2, minibatch_size=3, seed=1))
-        assert res.state.n_slices == 1
+        res = _run_workers(corpus, hyper,
+                           TrainConfig(iterations=2, minibatch_size=3, seed=1), log)
+        assert len(_as_state(res).slices) == 1
         assert log == []
 
-    def test_message_count_and_volume(self, small_synthetic, monkeypatch):
-        log = self._counting_hub(monkeypatch)
+    def test_message_count_and_volume(self, small_synthetic):
+        log = []
         hyper, corpus, _ = small_synthetic  # T=3, K=4, V=40
         cfg = TrainConfig(iterations=2, minibatch_size=5, seed=3)
-        run_distributed(corpus, hyper, cfg)
+        _run_workers(corpus, hyper, cfg, log)
         t, k, v = corpus.n_slices, hyper.K, corpus.vocabulary.size
         n_alpha = sum(1 for e in log if e[2] == KIND_ALPHA)
         n_phi = sum(1 for e in log if e[2] == KIND_PHI)
@@ -168,118 +213,41 @@ class TestDistributedRuns:
         hyper, corpus, _ = small_synthetic
         cfg = TrainConfig(iterations=4, minibatch_size=6, seed=11)
         seq = train(corpus, hyper, cfg).state
-        dist = run_distributed(corpus, hyper, cfg).state
+        dist = _as_state(_run_workers(corpus, hyper, cfg))
         assert states_equal(seq, dist)
 
-    def test_packed_workers_equal_sequential(self, small_synthetic):
+    def test_packed_workers_equal_sequential(self, small_synthetic, tmp_path):
         hyper, corpus, _ = small_synthetic  # T=3 on 2 workers
         cfg = TrainConfig(iterations=3, minibatch_size=6, seed=12)
         seq = train(corpus, hyper, cfg).state
-        packed = run_distributed(corpus, hyper, cfg,
-                                 assignment=default_topology(3, workers=2)).state
+        packed = run_distributed_sockets(corpus, hyper, cfg, tmp_path / "ck",
+                                         assignment=default_topology(3, workers=2))
         assert states_equal(seq, packed)
-
-    def test_thread_count_does_not_change_results(self, small_synthetic):
-        hyper, corpus, _ = small_synthetic
-        a = run_distributed(corpus, hyper,
-                            TrainConfig(iterations=3, minibatch_size=6, seed=13,
-                                        threads_per_slice=3)).state
-        b = run_distributed(corpus, hyper,
-                            TrainConfig(iterations=3, minibatch_size=6, seed=13,
-                                        threads_per_slice=6)).state
-        assert states_equal(a, b)
 
     def test_metrics_from_every_worker_every_iteration(self, small_synthetic):
         hyper, corpus, _ = small_synthetic
         cfg = TrainConfig(iterations=3, minibatch_size=6, seed=14)
-        res = run_distributed(corpus, hyper, cfg)
-        seen = {(r["iteration"], r["slice"]) for r in res.metrics}
+        res = _run_workers(corpus, hyper, cfg)
+        seen = {(r["iteration"], r["slice"]) for w in res for r in res[w].metrics}
         expected = {(i, t) for i in range(3)
                     for t in range(1, corpus.n_slices + 1)}
         assert seen == expected
 
     def test_socket_workers_equal_sequential(self, small_synthetic, tmp_path):
         hyper, corpus, _ = small_synthetic
-        cfg = TrainConfig(iterations=3, minibatch_size=6, seed=15,
-                          threads_per_slice=1)
+        cfg = TrainConfig(iterations=3, minibatch_size=6, seed=15)
         seq = train(corpus, hyper, cfg).state
         sock = run_distributed_sockets(corpus, hyper, cfg, tmp_path / "ck")
         assert states_equal(seq, sock)
 
 
-class TestDualTransportBytes:
-    def test_payload_sequences_byte_identical(self, small_synthetic, tmp_path):
-        from dtmgibbs.cluster import (SocketTransport, _adjacency, free_ports,
-                                      worker_loop)
-        hyper, corpus, _ = small_synthetic
-        cfg = TrainConfig(iterations=2, minibatch_size=5, seed=16,
-                          threads_per_slice=1)
-        n = corpus.n_slices
-        assignment = default_topology(n)
-        adjacency = _adjacency(assignment)
-
-        def run_with(make_transport):
-            log = []
-            results = {}
-            errs = []
-
-            def worker(w):
-                try:
-                    left, right = adjacency[w]
-                    tr = _Counting(make_transport(w), log)
-                    results[w] = worker_loop(w, assignment[w], corpus, hyper,
-                                             cfg, tr, n, left, right)
-                except Exception as exc:  # noqa: BLE001
-                    errs.append(exc)
-
-            threads = [threading.Thread(target=worker, args=(w,)) for w in assignment]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errs, errs
-            return log, results
-
-        hub = ChannelHub()
-        log_q, res_q = run_with(hub.endpoint)
-
-        ports = free_ports(n)
-        addrs = {w: ("127.0.0.1", p) for w, p in zip(sorted(assignment), ports)}
-        transports = {}
-        lock = threading.Lock()
-
-        def make_socket_transport(w):
-            left, right = adjacency[w]
-            peers = {p: addrs[p] for p in (left, right) if p is not None}
-            tr = SocketTransport(w, addrs[w], peers)
-            with lock:
-                transports[w] = tr
-            return tr
-
-        log_s, res_s = run_with(make_socket_transport)
-        for tr in transports.values():
-            tr.close()
-
-        def by_channel(log):
-            chans = {}
-            for src, dst, kind, size in log:
-                chans.setdefault((src, dst), []).append((kind, size))
-            return chans
-
-        assert by_channel(log_q) == by_channel(log_s)
-        for w in res_q:
-            for t in res_q[w].slices:
-                np.testing.assert_array_equal(res_q[w].slices[t].phi,
-                                              res_s[w].slices[t].phi)
-
-
 class TestSocketFailures:
     def test_unreachable_peer_raises_after_retries(self):
-        from dtmgibbs.cluster import PeerDisconnected, SocketTransport, free_ports
+        from dtmgibbs.cluster import PeerDisconnected, free_ports
         mine, dead = free_ports(2)  # nothing listens on `dead`
         with pytest.raises(PeerDisconnected, match="cannot reach"):
-            SocketTransport(2, ("127.0.0.1", mine),
-                            {1: ("127.0.0.1", dead)}, connect_retries=3)
+            SocketTransport.connect(2, ("127.0.0.1", mine),
+                                    {1: ("127.0.0.1", dead)}, connect_retries=3)
 
 
 class TestTopology:

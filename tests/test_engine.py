@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from conftest import states_equal
@@ -60,15 +62,14 @@ class TestTrain:
             assert np.isfinite(row["log_joint"])
             assert row["eps_eta"] > 0
 
-    def test_thread_counts_bitwise_identical(self, small_synthetic):
+    def test_trains_without_starting_threads(self, small_synthetic, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"training started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         hyper, corpus, _ = small_synthetic
-        outs = []
-        for threads in (1, 3, 6):
-            cfg = TrainConfig(iterations=4, minibatch_size=7, seed=13,
-                              threads_per_slice=threads)
-            outs.append(train(corpus, hyper, cfg).state)
-        assert states_equal(outs[0], outs[1])
-        assert states_equal(outs[0], outs[2])
+        res = train(corpus, hyper, TrainConfig(iterations=2, minibatch_size=7, seed=13))
+        assert res.iterations_done == 2
 
     def test_resume_matches_uninterrupted(self, small_synthetic, tmp_path):
         hyper, corpus, _ = small_synthetic

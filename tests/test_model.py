@@ -190,6 +190,25 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="do not match"):
             load_checkpoint(tmp_path / "ck", c, Hyperparams(K=4))
 
+    def test_torn_set_rejected(self, tmp_path):
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        write_checkpoint(tmp_path / "a", st, master_seed=1, iteration=5)
+        write_checkpoint(tmp_path / "b", st, master_seed=9, iteration=2)
+        torn = checkpoint_path(tmp_path / "a", 2)
+        torn.write_bytes(checkpoint_path(tmp_path / "b", 2).read_bytes())
+        with pytest.raises(ValueError, match="torn"):
+            load_checkpoint(tmp_path / "a", c, Hyperparams(K=2))
+
+    def test_truncated_arrays_rejected(self, tmp_path):
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=5)
+        path = checkpoint_path(tmp_path / "ck", 1)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated"):
+            read_slice_checkpoint(path)
+
 
 class TestNormalizerCache:
     def test_cache_matches_recompute(self, tmp_path):
