@@ -314,9 +314,10 @@ def cmd_worker(args) -> int:
 def cmd_coordinator(args) -> int:
     import socket as socketlib
 
-    from .cluster import (KIND_DONE, KIND_HELLO, KIND_HELLO_MISMATCH,
-                          KIND_HELLO_OK, KIND_METRICS, encode_frame,
-                          parse_topology, recv_frame, send_frame)
+    from .cluster import (DEFAULT_TIMEOUT, KIND_DONE, KIND_HELLO,
+                          KIND_HELLO_MISMATCH, KIND_HELLO_OK, KIND_METRICS,
+                          ProtocolError, encode_frame, parse_topology,
+                          recv_frame, send_frame)
     from .engine import metrics_to_csv
 
     settings = resolve_settings(args)
@@ -330,12 +331,12 @@ def cmd_coordinator(args) -> int:
     expected = str(topo.checksum())
 
     server = socketlib.create_server(topo.coordinator)
-    server.settimeout(120)
+    server.settimeout(DEFAULT_TIMEOUT)
     conns = []
     try:
         while len(conns) < len(topo.workers):
             conn, _ = server.accept()
-            conn.settimeout(120)
+            conn.settimeout(DEFAULT_TIMEOUT)
             hello = recv_frame(conn)
             if hello.kind != KIND_HELLO:
                 conn.close()
@@ -365,6 +366,10 @@ def cmd_coordinator(args) -> int:
         print(f"coordinator: collected {len(rows)} metric rows from "
               f"{len(conns)} workers")
         return EXIT_OK
+    except TimeoutError as exc:
+        raise ProtocolError(f"coordinator: no word from a worker in "
+                            f"{DEFAULT_TIMEOUT:g} s ({len(conns)} of "
+                            f"{len(topo.workers)} connected)") from exc
     finally:
         for _, conn in conns:
             conn.close()

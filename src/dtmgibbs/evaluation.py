@@ -68,7 +68,7 @@ class TopicTrend:
 def _doc_proposals(eta: np.ndarray, word_prob, word_alias, rng) -> MhProposalState:
     table = build_alias_table(np.exp(eta - eta.max()))
     refill_pool(table, rng)
-    return MhProposalState({0: table}, [], word_prob, word_alias, 0)
+    return MhProposalState({0: table}, word_prob, word_alias, 0)
 
 
 def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,

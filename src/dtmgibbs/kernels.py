@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,14 +93,13 @@ class AliasTable:
     owned by one thread or synchronized externally.
     """
 
-    __slots__ = ("prob", "alias", "_pool", "_pool_pos", "source_weights_checksum")
+    __slots__ = ("prob", "alias", "_pool", "_pool_pos")
 
-    def __init__(self, prob: np.ndarray, alias: np.ndarray, checksum: int):
+    def __init__(self, prob: np.ndarray, alias: np.ndarray):
         self.prob = prob
         self.alias = alias
         self._pool = np.empty(0, dtype=np.int64)
         self._pool_pos = 0
-        self.source_weights_checksum = checksum
 
     @property
     def k(self) -> int:
@@ -117,15 +115,19 @@ class AliasTable:
 
 
 def _alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-worklist construction; touches each index O(1) times."""
-    k = weights.shape[0]
-    total = weights.sum()
-    scaled = weights * (k / total)
-    prob = np.ones(k, dtype=np.float64)
-    alias = np.arange(k, dtype=np.int64)
+    """Two-worklist construction; touches each index O(1) times.
 
-    small = [j for j in range(k) if scaled[j] < 1.0]
-    large = [j for j in range(k) if scaled[j] >= 1.0]
+    Works on Python floats, which is several times faster than indexing
+    numpy scalars at the K of one proposal table; the arithmetic is the
+    same IEEE-754 double arithmetic either way.
+    """
+    k = weights.shape[0]
+    scaled = (weights * (k / weights.sum())).tolist()
+    prob = [1.0] * k
+    alias = list(range(k))
+
+    small = [j for j, x in enumerate(scaled) if x < 1.0]
+    large = [j for j, x in enumerate(scaled) if x >= 1.0]
     while small and large:
         s = small.pop()
         g = large.pop()
@@ -136,11 +138,8 @@ def _alias_arrays(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             small.append(g)
         else:
             large.append(g)
-    # leftovers are exactly 1 up to rounding; pin them there
-    for j in small:
-        prob[j] = 1.0
-        alias[j] = j
-    return prob, alias
+    # leftovers are exactly 1 up to rounding; they keep prob 1, alias self
+    return np.array(prob, dtype=np.float64), np.array(alias, dtype=np.int64)
 
 
 def build_alias_table(weights) -> AliasTable:
@@ -152,25 +151,59 @@ def build_alias_table(weights) -> AliasTable:
         raise ValueError("weights must be finite and non-negative")
     if w.sum() <= 0:
         raise ValueError("weights must not be all zero")
-    prob, alias = _alias_arrays(w.copy())
-    return AliasTable(prob, alias, zlib.crc32(w.tobytes()))
+    return AliasTable(*_alias_arrays(w))
 
 
 def build_alias_matrix(weight_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked alias construction for n distributions at once.
 
-    Returns (prob, alias), each of shape (n, K).  Row i is the alias
-    table of weight_rows[i]; handy when a sweep wants one gather per
-    token instead of one Python object per distribution.
+    Returns (prob, alias), each of shape (n, K); row i equals
+    ``build_alias_table(weight_rows[i])`` bit for bit.  The two-worklist
+    construction of every row runs in lockstep: each row keeps its small
+    and large stacks in one (n, K) index array, small indices ascending
+    from the left and large ones ascending after them, and every step
+    pops the top of both stacks of all rows that still have both, with
+    the scalar builder's arithmetic.  A step removes one index from a
+    row, so at most K vectorized steps replace n*K interpreted ones.
     """
-    n, k = weight_rows.shape
-    prob = np.empty((n, k), dtype=np.float64)
-    alias = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        prob[i], alias[i] = _alias_arrays(
-            np.ascontiguousarray(weight_rows[i], dtype=np.float64).copy()
-        )
-    return prob, alias
+    # one C-ordered copy, scaled in place: row sums must run along
+    # contiguous rows to round as the scalar builder's do
+    scaled = np.array(weight_rows, dtype=np.float64, order="C")
+    n, k = scaled.shape
+    scaled *= (k / scaled.sum(axis=1))[:, None]
+    is_large = scaled >= 1.0
+    scaled = scaled.ravel()
+    prob = np.ones(n * k, dtype=np.float64)
+    alias = np.tile(np.arange(k, dtype=np.int64), n)
+
+    n_large = is_large.sum(axis=1)
+    base = np.arange(n, dtype=np.int64) * k
+    # flat positions in `stack`: the small stack of row r fills
+    # [base, base + n_small), its large stack [base + k - n_large, ...)
+    stack = np.argsort(is_large, axis=1, kind="stable")
+    stack += base[:, None]
+    stack = stack.ravel()
+    large_bottom = base + (k - n_large)
+    small_top = large_bottom - 1                # flat position of each top
+    large_top = base + k - 1
+    rows = np.flatnonzero((n_large > 0) & (n_large < k))
+    while rows.size:
+        st, gt = small_top[rows], large_top[rows]
+        s, g = stack[st], stack[gt]
+        ss = scaled[s]
+        prob[s] = ss
+        alias[s] = g - base[rows]
+        sg = scaled[g] - (1.0 - ss)
+        scaled[g] = sg
+        to_small = sg < 1.0
+        # g moves onto the small stack in place of s, or stays on top of
+        # the large stack while s is popped
+        stack[st[to_small]] = g[to_small]
+        large_top[rows[to_small]] -= 1
+        small_top[rows[~to_small]] -= 1
+        rows = rows[(small_top[rows] >= base[rows])
+                    & (large_top[rows] >= large_bottom[rows])]
+    return prob.reshape(n, k), alias.reshape(n, k)
 
 
 def alias_draw(table: AliasTable, rng: np.random.Generator, size: int | None = None):

@@ -18,13 +18,12 @@ values clamped at 0 from above.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import (AliasTable, alias_draw_stacked, build_alias_matrix,
-                      build_alias_table, pool_draw, pool_draw_many, refill_pool)
+                      pool_draw, pool_draw_many, refill_pool)
 from .model import Hyperparams, SliceState
 
 __all__ = [
@@ -213,47 +212,62 @@ def sgld_update_phi(phi_row, grad, eps: float, rng: np.random.Generator) -> np.n
 # ---------------------------------------------------------------------------
 
 class MhProposalState:
-    """Alias tables and stale-sample pools for one iteration's proposals.
+    """One iteration's proposal tables.
 
-    One table per mini-batch document over exp(eta_d) and one per
-    vocabulary word over exp(phi[:, w]); both are rebuilt every
+    Each mini-batch document has an alias table over exp(eta_d) with a
+    pool of stale draws.  The word tables over exp(phi[:, w]) are the
+    stacked (V, K) ``word_prob``/``word_alias`` arrays, which the sweep
+    reads by gather; they keep no pools.  Both are rebuilt every
     iteration because the parameters they were built from move every
-    iteration.  The stacked (V, K) prob/alias matrices mirror the word
-    tables for vectorized sweeps.
+    iteration.
     """
 
-    __slots__ = ("doc_tables", "word_tables", "word_prob", "word_alias",
-                 "staleness_epoch")
+    __slots__ = ("doc_tables", "word_prob", "word_alias", "staleness_epoch",
+                 "_word_tables")
 
-    def __init__(self, doc_tables, word_tables, word_prob, word_alias, epoch):
+    def __init__(self, doc_tables, word_prob, word_alias, epoch):
         self.doc_tables: dict[int, AliasTable] = doc_tables
-        self.word_tables: list[AliasTable] = word_tables
         self.word_prob = word_prob
         self.word_alias = word_alias
         self.staleness_epoch = epoch
+        self._word_tables = None
+
+    @property
+    def word_tables(self) -> list[AliasTable]:
+        """Per-word tables for the scalar token step, made on first access.
+
+        Row views over ``word_prob``/``word_alias`` whose pools start
+        empty and fill from the stream of whoever draws from them.
+        """
+        if self._word_tables is None:
+            self._word_tables = [AliasTable(p, a)
+                                 for p, a in zip(self.word_prob, self.word_alias)]
+        return self._word_tables
 
 
 def rebuild_proposals(slice_state: SliceState, minibatch, iteration: int,
                       rng: np.random.Generator) -> MhProposalState:
-    """Fresh proposal tables, each with a full pool of K stale draws."""
-    k = slice_state.k
+    """Fresh proposal tables for one iteration.
+
+    The doc tables of the mini-batch and the V word tables are each
+    built in one stacked alias construction.  Each doc table then gets
+    a full pool of K stale draws from ``rng``, in mini-batch order; the
+    word tables get no pools.
+    """
+    docs = [int(d) for d in minibatch]
+    eta = slice_state.eta[docs]
+    doc_prob, doc_alias = build_alias_matrix(
+        np.exp(eta - eta.max(axis=1, keepdims=True)))
     doc_tables = {}
-    for d in minibatch:
-        w = np.exp(slice_state.eta[d] - slice_state.eta[d].max())
-        table = build_alias_table(w)
+    for i, d in enumerate(docs):
+        table = AliasTable(doc_prob[i], doc_alias[i])
         refill_pool(table, rng)
-        doc_tables[int(d)] = table
+        doc_tables[d] = table
 
     col_max = slice_state.phi.max(axis=0)
-    word_weights = np.ascontiguousarray(np.exp(slice_state.phi - col_max).T)  # (V, K)
+    word_weights = np.exp(slice_state.phi - col_max).T  # (V, K)
     word_prob, word_alias = build_alias_matrix(word_weights)
-    word_tables = []
-    for w in range(slice_state.v):
-        table = AliasTable(word_prob[w], word_alias[w],
-                           zlib.crc32(word_weights[w].tobytes()))
-        refill_pool(table, rng)
-        word_tables.append(table)
-    return MhProposalState(doc_tables, word_tables, word_prob, word_alias, iteration)
+    return MhProposalState(doc_tables, word_prob, word_alias, iteration)
 
 
 def mh_sample_token(d: int, n: int, w: int, z_cur: int, slice_state: SliceState,
@@ -263,8 +277,9 @@ def mh_sample_token(d: int, n: int, w: int, z_cur: int, slice_state: SliceState,
     Doc step: propose s ~ exp(eta_d), accept with min(1, exp(phi[s,w] -
     phi[z,w])).  Word step: propose s ~ exp(phi[:,w]), accept with
     min(1, exp(eta_d[s] - eta_d[z])).  Proposals come from the stale
-    pools; the acceptance ratio is exact because the tables were built
-    from the same parameter values the ratio reads.
+    pools, and a word pool is first filled from ``rng``; the acceptance
+    ratio is exact because the tables were built from the same
+    parameter values the ratio reads.
     """
     eta_d = slice_state.eta[d]
     phi = slice_state.phi

@@ -257,6 +257,23 @@ class TestWorkerCoordinator:
                     p.kill()
 
 
+    def test_absent_worker_times_out_exit_4(self, tmp_path, monkeypatch, capsys):
+        import time
+
+        import dtmgibbs.cluster
+        from dtmgibbs.cluster import free_ports
+        w1, coord = free_ports(2)
+        topo = tmp_path / "topo.txt"
+        write_topology(topo, [w1], coord)
+        monkeypatch.setattr(dtmgibbs.cluster, "DEFAULT_TIMEOUT", 0.5)
+        t0 = time.monotonic()
+        code = main(["coordinator", "--topology", str(topo),
+                     "--out", str(tmp_path / "coord")])
+        assert code == 4
+        assert time.monotonic() - t0 < 10
+        assert "peer error:" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_parse_comments_and_spacing(self, tmp_path):
         p = tmp_path / "c.cfg"

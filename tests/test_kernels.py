@@ -4,7 +4,8 @@ from scipy import stats
 
 from conftest import enumerate_alias_measure
 
-from dtmgibbs.kernels import (SgldSchedule, alias_draw, build_alias_table,
+from dtmgibbs.kernels import (SgldSchedule, alias_draw, build_alias_matrix,
+                              build_alias_table,
                               gaussian_vector, log_sum_exp, pool_draw,
                               pool_draw_many, refill_pool, rng_for,
                               softmax, step_size)
@@ -105,6 +106,35 @@ class TestAliasTable:
         t = build_alias_table([3.0, 1.0])
         draws = alias_draw(t, rng_for(0, "w31"), size=100_000)
         assert abs((draws == 0).mean() - 0.75) < 0.01
+
+
+class TestAliasMatrix:
+    def test_rows_equal_scalar_builder_bitwise(self):
+        rng = np.random.default_rng(11)
+        ks = list(range(1, 81)) + [97, 128, 199, 256, 333, 512, 600]
+        for i, k in enumerate(ks):
+            n = int(rng.integers(1, 9))
+            kind = i % 4
+            if kind == 0:
+                w = rng.random((n, k))
+            elif kind == 1:                       # heavy-tailed, column-major
+                w = np.exp(rng.normal(0.0, 3.0, size=(k, n))).T
+            elif kind == 2:                       # all-equal rows
+                w = np.repeat(rng.random((n, 1)) + 0.1, k, axis=1)
+            else:                                 # zero entries
+                w = rng.random((n, k))
+                w[rng.random((n, k)) < 0.4] = 0.0
+                w[:, -1] += 0.5
+            prob, alias = build_alias_matrix(w)
+            assert prob.shape == alias.shape == (n, k)
+            for r in range(n):
+                t = build_alias_table(w[r])
+                assert prob[r].tobytes() == t.prob.tobytes(), (k, kind, r)
+                assert alias[r].tobytes() == t.alias.tobytes(), (k, kind, r)
+
+    def test_no_rows(self):
+        prob, alias = build_alias_matrix(np.ones((0, 5)))
+        assert prob.shape == alias.shape == (0, 5)
 
 
 class TestPool:

@@ -277,6 +277,40 @@ class TestProposals:
         assert abs((draws == 0).mean() - 0.75) < 0.01
 
 
+    def test_one_stacked_build_per_table_kind(self, monkeypatch):
+        import dtmgibbs.samplers as samplers
+        built, refilled = [], []
+        build, refill = samplers.build_alias_matrix, samplers.refill_pool
+
+        def counting_build(rows):
+            built.append(np.asarray(rows).shape)
+            return build(rows)
+
+        def counting_refill(table, rng):
+            refilled.append(table)
+            return refill(table, rng)
+
+        monkeypatch.setattr(samplers, "build_alias_matrix", counting_build)
+        monkeypatch.setattr(samplers, "refill_pool", counting_refill)
+        sl = toy_slice(5, 30, 8, 10, seed=10)
+        minibatch = [6, 1, 3]
+        props = rebuild_proposals(sl, minibatch, 0, rng_for(0, "count"))
+        assert built == [(3, 5), (30, 5)]
+        assert refilled == [props.doc_tables[d] for d in minibatch]
+        assert all(props.doc_tables[d].pool_size() == 5 for d in minibatch)
+
+    def test_word_tables_are_views_without_pools(self):
+        sl = toy_slice(4, 6, 1, 5, seed=11)
+        props = rebuild_proposals(sl, [0], 0, rng_for(0, "views"))
+        tables = props.word_tables
+        assert tables is props.word_tables and len(tables) == 6
+        for w, t in enumerate(tables):
+            assert np.shares_memory(t.prob, props.word_prob)
+            np.testing.assert_array_equal(t.prob, props.word_prob[w])
+            np.testing.assert_array_equal(t.alias, props.word_alias[w])
+            assert t.pool_size() == 0
+
+
 class TestTokenSampler:
     def test_self_proposal_always_accepted(self):
         sl = toy_slice(3, 4, 1, 5, seed=5)
