@@ -18,7 +18,7 @@ of slices, joined by one TCP connection per adjacent pair;
 Wire format::
 
     magic    4s   "DTMB"
-    version  u8   1
+    version  u8   2
     kind     u8   0 alpha, 1 phi, 2 ack, 3 nack, 4 hello, 5 hello-ok,
                   6 hello-mismatch, 7 metrics, 8 done
     iter     u32
@@ -27,7 +27,7 @@ Wire format::
     dims     u32 * ndim
     nbytes   u32
     payload  nbytes bytes (f8 little-endian for alpha/phi, utf-8 otherwise)
-    crc      u32  CRC-32 of payload
+    crc      u32  CRC-32 of every byte before it, header included
 
 Socket framing adds a u32 length prefix per frame.
 """
@@ -49,7 +49,7 @@ from .model import Hyperparams, ModelState, accumulate_counts, init_state
 from .samplers import NeighborContext
 
 MAGIC = b"DTMB"
-VERSION = 1
+VERSION = 2
 
 KIND_ALPHA = 0
 KIND_PHI = 1
@@ -92,8 +92,8 @@ def encode_frame(kind: int, iteration: int, sender: int, payload: bytes = b"",
                  dims=()) -> bytes:
     head = _HEAD.pack(MAGIC, VERSION, kind, iteration, sender, len(dims))
     dim_bytes = struct.pack(f"<{len(dims)}I", *dims) if dims else b""
-    return (head + dim_bytes + struct.pack("<I", len(payload)) + payload
-            + struct.pack("<I", zlib.crc32(payload)))
+    body = head + dim_bytes + struct.pack("<I", len(payload)) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @dataclass
@@ -114,21 +114,29 @@ class Frame:
 
 
 def decode_frame(data: bytes) -> Frame:
+    """Parse one frame; a frame whose length disagrees with its header
+    raises ProtocolError, a checksum mismatch sets ``crc_ok`` False."""
+    if len(data) < _HEAD.size:
+        raise ProtocolError(f"truncated frame ({len(data)} bytes)")
     magic, version, kind, iteration, sender, ndim = _HEAD.unpack_from(data, 0)
     if magic != MAGIC:
         raise ProtocolError("bad magic bytes in frame")
     if version != VERSION:
         raise ProtocolError(f"unsupported frame version {version}")
     off = _HEAD.size
+    if len(data) < off + 4 * ndim + 4:
+        raise ProtocolError(f"truncated frame ({len(data)} bytes)")
     dims = struct.unpack_from(f"<{ndim}I", data, off) if ndim else ()
     off += 4 * ndim
     (nbytes,) = struct.unpack_from("<I", data, off)
     off += 4
+    if len(data) != off + nbytes + 4:
+        raise ProtocolError(f"frame of {len(data)} bytes declares a "
+                            f"{nbytes}-byte payload")
     payload = data[off:off + nbytes]
-    off += nbytes
-    (crc,) = struct.unpack_from("<I", data, off)
+    (crc,) = struct.unpack_from("<I", data, off + nbytes)
     return Frame(kind, iteration, sender, dims, payload,
-                 crc_ok=(zlib.crc32(payload) == crc))
+                 crc_ok=(zlib.crc32(memoryview(data)[:off + nbytes]) == crc))
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +163,25 @@ class SocketTransport:
     sockets over TCP.
     """
 
-    def __init__(self, worker_id: int, conns: dict, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, worker_id: int, conns: dict, timeout: float | None = None):
         self.worker_id = worker_id
         self._conns = dict(conns)
+        timeout = DEFAULT_TIMEOUT if timeout is None else timeout
         for conn in self._conns.values():
             conn.settimeout(timeout)
 
     @classmethod
     def connect(cls, worker_id: int, address, peers: dict,
-                timeout: float = DEFAULT_TIMEOUT,
+                timeout: float | None = None,
                 connect_retries: int = 50) -> "SocketTransport":
         """Dial the peers with smaller ids and accept the larger ones.
 
         The dialing worker identifies itself with a hello frame.
         ``peers`` maps peer id to (host, port); ``address`` is where
-        this worker listens.
+        this worker listens.  ``timeout`` defaults to the module's
+        ``DEFAULT_TIMEOUT`` as it is at call time.
         """
+        timeout = DEFAULT_TIMEOUT if timeout is None else timeout
         conns = {}
         need_accept = [p for p in peers if p > worker_id]
         listener = None
@@ -474,9 +485,12 @@ def run_distributed_sockets(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig
 
     Workers write per-slice checkpoints into ``out_dir``; the assembled
     final state is loaded back from them.  Numerically identical to the
-    sequential runner.
+    sequential runner.  As soon as one worker exits non-zero the others
+    are terminated and ``PeerDisconnected`` names the worker and its
+    exit code.
     """
     import multiprocessing as mp
+    from multiprocessing.connection import wait
 
     from .model import load_checkpoint
 
@@ -497,13 +511,24 @@ def run_distributed_sockets(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig
                                      initial=initial[w]),
                          name=f"worker-{w}")
              for w in sorted(assignment)]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join()
-    failed = [p.name for p in procs if p.exitcode != 0]
-    if failed:
-        raise RuntimeError(f"socket workers failed: {', '.join(failed)}")
+    try:
+        for p in procs:
+            p.start()
+        running = {p.sentinel: p for p in procs}
+        while running:
+            for sentinel in wait(list(running)):
+                p = running.pop(sentinel)
+                p.join()
+                if p.exitcode != 0:
+                    raise PeerDisconnected(f"socket worker {p.name} exited with "
+                                           f"code {p.exitcode}")
+    finally:
+        for p in procs:
+            if p.is_alive():
+                p.terminate()
+        for p in procs:
+            if p.pid is not None:
+                p.join()
     final, _, _ = load_checkpoint(out_dir, corpus, hyper)
     return final
 

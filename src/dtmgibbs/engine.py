@@ -143,7 +143,7 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
                                       rng_for(seed, "z", t, iteration, d))
     ms_z = (time.perf_counter() - t0) * 1e3
 
-    if not np.all(np.isfinite(eta_next)):
+    if not np.all(np.isfinite(eta_next[minibatch])):  # the only rows written
         raise NumericError("eta", t, iteration)
     if not np.all(np.isfinite(phi_next)):
         raise NumericError("phi", t, iteration)
@@ -160,7 +160,8 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     if not np.all(np.isfinite(alpha_next)):
         raise NumericError("alpha", t, iteration)
 
-    nxt = SliceState(t, snap.tokens, alpha_next, phi_next, eta_next, z_next)
+    # only the mini-batch rows of eta moved: refresh just their normalizers
+    nxt = snap.successor(alpha_next, phi_next, eta_next, z_next, minibatch)
     if cfg.debug_checks:
         recheck = accumulate_counts(snap, minibatch)
         if not recheck.equals(counts):

@@ -105,7 +105,9 @@ def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,
         g = grad_log_post_eta(doc.eta[0], alpha_t, c_doc, n_d, hyper.psi2,
                               doc.eta_log_norm[0])
         doc.eta[0] = sgld_update_eta(doc.eta[0], g, schedule.step(i), rng)
-        doc.refresh_eta_norm([0])
+        # one row: the scalar form of row_log_norms, cheaper at this size
+        m = doc.eta[0].max()
+        doc.eta_log_norm[0] = m + np.log(np.exp(doc.eta[0] - m).sum())
         if posterior_mean and i >= steps // 2:
             pi_sum += softmax(doc.eta[0])
             n_avg += 1

@@ -8,7 +8,9 @@ locks.
 
 from __future__ import annotations
 
+import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from .corpus import Corpus
 from .kernels import log_sum_exp, rng_for
 
 CHECKPOINT_MAGIC = b"DTMC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 PHI_INIT_VARIANCE = 0.01  # small symmetric-breaking noise; exact zero would
                           # leave every topic identical under the doc-proposal
@@ -77,12 +79,28 @@ class CountSet:
                 and all(np.array_equal(self.c_doc[d], other.c_doc[d]) for d in self.c_doc))
 
 
+def row_log_norms(x: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(row))) of a 2-D array via the max-shift.
+
+    Each entry equals the one-row formula ``m + log(sum(exp(row - m)))``
+    bit for bit: the rows are summed from C-contiguous memory, so numpy
+    reduces each one in the same order as a 1-D sum.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    m = x.max(axis=1)
+    return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
+
+
 class SliceState:
     """All sampled parameters of one time slice.
 
     Keeps the log-normalizers of eta rows and phi rows cached; the
     gradient and likelihood code reads them instead of recomputing
     log-sum-exp per use.  Writers must call the refresh helpers.
+    ``successor`` builds the next iteration's state from this one and
+    refreshes only the eta rows that changed (plus every phi row), so
+    a training iteration never touches the normalizers of documents
+    outside its mini-batch.
     """
 
     __slots__ = ("slice_index", "tokens", "alpha", "phi", "eta", "z",
@@ -100,6 +118,26 @@ class SliceState:
         self.refresh_eta_norm()
         self.refresh_phi_norm()
 
+    def successor(self, alpha, phi, eta, z, changed_docs) -> "SliceState":
+        """The same slice with new parameters, where ``eta`` differs from
+        this state's only in the rows ``changed_docs``.
+
+        The other eta normalizers are copied, not recomputed; the result
+        equals ``SliceState(...)`` on the same arrays bit for bit.
+        """
+        nxt = SliceState.__new__(SliceState)
+        nxt.slice_index = self.slice_index
+        nxt.tokens = self.tokens
+        nxt.alpha = alpha
+        nxt.phi = phi
+        nxt.eta = eta
+        nxt.z = z
+        nxt.eta_log_norm = self.eta_log_norm.copy()
+        nxt.phi_log_norm = np.empty(phi.shape[0])
+        nxt.refresh_eta_norm(changed_docs)
+        nxt.refresh_phi_norm()
+        return nxt
+
     @property
     def n_docs(self) -> int:
         return self.eta.shape[0]
@@ -113,16 +151,18 @@ class SliceState:
         return self.phi.shape[1]
 
     def refresh_eta_norm(self, docs=None) -> None:
-        rows = range(self.n_docs) if docs is None else docs
-        for d in rows:
-            m = self.eta[d].max() if self.eta.shape[1] else 0.0
-            self.eta_log_norm[d] = m + np.log(np.exp(self.eta[d] - m).sum())
+        if docs is None:
+            self.eta_log_norm[:] = row_log_norms(self.eta)
+        else:
+            rows = np.asarray(docs, dtype=np.intp)
+            self.eta_log_norm[rows] = row_log_norms(self.eta[rows])
 
     def refresh_phi_norm(self, topics=None) -> None:
-        rows = range(self.k) if topics is None else topics
-        for kk in rows:
-            m = self.phi[kk].max()
-            self.phi_log_norm[kk] = m + np.log(np.exp(self.phi[kk] - m).sum())
+        if topics is None:
+            self.phi_log_norm[:] = row_log_norms(self.phi)
+        else:
+            rows = np.asarray(topics, dtype=np.intp)
+            self.phi_log_norm[rows] = row_log_norms(self.phi[rows])
 
     def validate_normalizers(self, atol: float = 1e-9) -> None:
         for d in range(self.n_docs):
@@ -210,32 +250,47 @@ def apply_z_update(slice_state: SliceState, counts: CountSet, d: int, n: int,
 # Checkpoints: one versioned binary file per slice, little-endian throughout.
 # Layout: magic, version, master_seed u64, iteration u32, T u32, K u32, V u32,
 # D_t u32, slice_index u32, alpha (K f8), phi (K*V f8), eta (D_t*K f8),
-# doc lengths (D_t u32), z (sum(lengths) i32).
+# doc lengths (D_t u32), z (sum(lengths) i32), then a u32 CRC-32 of all the
+# bytes before it.  Files are written under a temporary name and renamed
+# into place, so a reader sees the old file or the new one, never a mix.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sBQIIIIII")
+_CRC = struct.Struct("<I")
 
 
 def checkpoint_path(directory, slice_index: int) -> Path:
     return Path(directory) / f"slice_{slice_index:04d}.dtmc"
 
 
+def _checkpoint_chunks(sl: SliceState, master_seed: int, iteration: int, t_total: int):
+    k, v, d_t = sl.k, sl.v, sl.n_docs
+    yield _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, master_seed, iteration,
+                       t_total, k, v, d_t, sl.slice_index)
+    yield sl.alpha.astype("<f8").tobytes()
+    yield sl.phi.astype("<f8").tobytes()
+    yield sl.eta.astype("<f8").tobytes()
+    yield np.asarray([len(z) for z in sl.z], dtype="<u4").tobytes()
+    yield (np.concatenate(sl.z).astype("<i4") if d_t else np.empty(0, "<i4")).tobytes()
+
+
 def write_slice_checkpoint(directory, sl: SliceState, master_seed: int,
                            iteration: int, t_total: int) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    k, v, d_t = sl.k, sl.v, sl.n_docs
-    lengths = np.asarray([len(z) for z in sl.z], dtype=np.uint32)
-    z_flat = (np.concatenate(sl.z).astype("<i4") if d_t else np.empty(0, "<i4"))
-    with open(checkpoint_path(directory, sl.slice_index), "wb") as fh:
-        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                              master_seed, iteration, t_total, k, v, d_t,
-                              sl.slice_index))
-        fh.write(sl.alpha.astype("<f8").tobytes())
-        fh.write(sl.phi.astype("<f8").tobytes())
-        fh.write(sl.eta.astype("<f8").tobytes())
-        fh.write(lengths.astype("<u4").tobytes())
-        fh.write(z_flat.tobytes())
+    path = checkpoint_path(directory, sl.slice_index)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            crc = 0
+            for chunk in _checkpoint_chunks(sl, master_seed, iteration, t_total):
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(_CRC.pack(crc))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_checkpoint(directory, state: ModelState, master_seed: int, iteration: int) -> None:
@@ -246,27 +301,28 @@ def write_checkpoint(directory, state: ModelState, master_seed: int, iteration: 
 def read_slice_checkpoint(path) -> dict:
     """Decode one slice file into a dict of arrays plus header fields.
 
-    A file shorter than its header or its declared arrays raises
-    ValueError.
+    A file shorter than its header or its declared arrays, longer than
+    them, or whose CRC-32 does not match its bytes raises ValueError.
     """
     blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
+    if len(blob) < _HEADER.size + _CRC.size:
         raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
-                         f"its header needs {_HEADER.size})")
+                         f"its header and checksum need {_HEADER.size + _CRC.size})")
     magic, version, master_seed, iteration, t_total, k, v, d_t, slice_index = \
         _HEADER.unpack_from(blob, 0)
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    body_end = len(blob) - _CRC.size
     off = _HEADER.size
 
     def take(dtype: str, count: int) -> np.ndarray:
         nonlocal off
         end = off + np.dtype(dtype).itemsize * count
-        if end > len(blob):
+        if end > body_end:
             raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
-                             f"its arrays need at least {end})")
+                             f"its arrays and checksum need at least {end + _CRC.size})")
         arr = np.frombuffer(blob, dtype, count=count, offset=off)
         off = end
         return arr
@@ -276,6 +332,11 @@ def read_slice_checkpoint(path) -> dict:
     eta = take("<f8", d_t * k).reshape(d_t, k).copy()
     lengths = take("<u4", d_t).copy()
     z_flat = take("<i4", int(lengths.sum()))
+    if off != body_end:
+        raise ValueError(f"{path}: {body_end - off} bytes after the declared arrays")
+    (crc,) = _CRC.unpack_from(blob, body_end)
+    if zlib.crc32(memoryview(blob)[:body_end]) != crc:
+        raise ValueError(f"{path}: checksum mismatch, the file is corrupt")
     z = []
     pos = 0
     for n in lengths:

@@ -1,5 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run (no example
+# database, a seed derived from each test), with a bounded example count
+# and no per-example deadline, so Tier-1 stays reproducible and its
+# runtime bounded on a loaded machine.
+settings.register_profile("dtmgibbs", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("dtmgibbs")
 
 from dtmgibbs.model import Hyperparams
 from dtmgibbs.synthetic import generate_synthetic

@@ -1,13 +1,17 @@
+import multiprocessing
 import socket
 import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import states_equal
 
+from dtmgibbs import cluster
 from dtmgibbs.cluster import (KIND_ALPHA, KIND_PHI, BoundaryMessage,
-                              ProtocolError, SocketTransport, Topology,
+                              PeerDisconnected, ProtocolError,
+                              SocketTransport, Topology,
                               _adjacency, _recv_with_retry, decode_frame,
                               default_topology, exchange_boundaries,
                               parse_topology, run_distributed_sockets,
@@ -243,11 +247,48 @@ class TestDistributedRuns:
 
 class TestSocketFailures:
     def test_unreachable_peer_raises_after_retries(self):
-        from dtmgibbs.cluster import PeerDisconnected, free_ports
+        from dtmgibbs.cluster import free_ports
         mine, dead = free_ports(2)  # nothing listens on `dead`
         with pytest.raises(PeerDisconnected, match="cannot reach"):
             SocketTransport.connect(2, ("127.0.0.1", mine),
                                     {1: ("127.0.0.1", dead)}, connect_retries=3)
+
+    def _run_until_failure(self, small_synthetic, tmp_path):
+        hyper, corpus, _ = small_synthetic
+        cfg = TrainConfig(iterations=200, minibatch_size=6, seed=1)
+        t0 = time.monotonic()
+        with pytest.raises(PeerDisconnected) as err:
+            run_distributed_sockets(corpus, hyper, cfg, tmp_path / "ck")
+        assert time.monotonic() - t0 < 15
+        assert multiprocessing.active_children() == []   # survivors were stopped
+        return str(err.value)
+
+    def test_worker_dying_before_connect_stops_the_run(self, small_synthetic,
+                                                       tmp_path, monkeypatch):
+        real = cluster.run_worker
+
+        def run_worker(worker_id, *args, **kwargs):
+            if worker_id == 1:
+                raise RuntimeError("worker 1 fails before connecting")
+            return real(worker_id, *args, **kwargs)
+
+        monkeypatch.setattr(cluster, "run_worker", run_worker)
+        message = self._run_until_failure(small_synthetic, tmp_path)
+        assert "worker-1 exited with code 1" in message
+
+    def test_frozen_worker_stops_the_run(self, small_synthetic, tmp_path, monkeypatch):
+        real = cluster.worker_loop
+
+        def worker_loop(worker_id, *args, **kwargs):
+            if worker_id == 1:
+                time.sleep(120)   # connected, then silent but alive
+            return real(worker_id, *args, **kwargs)
+
+        monkeypatch.setattr(cluster, "worker_loop", worker_loop)
+        monkeypatch.setattr(cluster, "DEFAULT_TIMEOUT", 1.0)
+        message = self._run_until_failure(small_synthetic, tmp_path)
+        # worker 2 times out waiting on worker 1 and exits; worker 1 is stopped
+        assert "worker-2 exited with code 1" in message
 
 
 class TestTopology:

@@ -1,13 +1,15 @@
 import threading
+import time
 
 import numpy as np
 import pytest
 from conftest import states_equal
 
 from dtmgibbs.engine import (METRICS_FIELDS, NumericError, TrainConfig,
-                             select_minibatch, train)
+                             run_iteration, select_minibatch, train)
 from dtmgibbs.kernels import rng_for
-from dtmgibbs.model import Hyperparams, init_state
+from dtmgibbs.model import Hyperparams, SliceState, init_state
+from dtmgibbs.samplers import NeighborContext
 from dtmgibbs.synthetic import generate_synthetic
 
 
@@ -149,3 +151,74 @@ class TestLearningTrend:
         early = np.mean([per_iter[i] for i in it[:5]])
         late = np.mean([per_iter[i] for i in it[-5:]])
         assert late > early
+
+
+def random_slice(d_t, k=10, v=200, doc_len=40, seed=0):
+    """A slice state drawn from random arrays (much faster to build than
+    a generated corpus of the same size)."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, v, size=(d_t, doc_len), dtype=np.int32)
+    topics = rng.integers(0, k, size=(d_t, doc_len), dtype=np.int32)
+    return SliceState(1, list(words), rng.normal(size=k), rng.normal(size=(k, v)),
+                      rng.normal(size=(d_t, k)), list(topics))
+
+
+def first_slice_neighbors(k, v):
+    return (NeighborContext(left=np.zeros(k), right=None),
+            NeighborContext(left=np.zeros((k, v)), right=None))
+
+
+class TestIterationCost:
+    def test_carried_normalizers_equal_fresh_ones(self, small_synthetic):
+        hyper, corpus, _ = small_synthetic
+        res = train(corpus, hyper, TrainConfig(iterations=20, minibatch_size=5, seed=2))
+        for sl in res.state.slices:
+            fresh = SliceState(sl.slice_index, sl.tokens, sl.alpha, sl.phi, sl.eta, sl.z)
+            np.testing.assert_array_equal(sl.eta_log_norm, fresh.eta_log_norm)
+            np.testing.assert_array_equal(sl.phi_log_norm, fresh.phi_log_norm)
+
+    def test_refreshes_only_minibatch_rows(self, monkeypatch):
+        prev = random_slice(500, k=4, v=30, doc_len=10)
+        refreshed, built = [], []
+        real_refresh, real_init = SliceState.refresh_eta_norm, SliceState.__init__
+
+        def refresh(self, docs=None):
+            refreshed.append(None if docs is None else sorted(int(d) for d in docs))
+            real_refresh(self, docs)
+
+        def init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        monkeypatch.setattr(SliceState, "refresh_eta_norm", refresh)
+        monkeypatch.setattr(SliceState, "__init__", init)
+        nb_alpha, nb_phi = first_slice_neighbors(4, 30)
+        nxt, counts, _ = run_iteration(prev, nb_alpha, nb_phi, Hyperparams(K=4),
+                                       TrainConfig(minibatch_size=20), 0)
+        assert refreshed == [sorted(counts.c_doc)]
+        assert len(refreshed[0]) == 20
+        assert built == []
+        nxt.validate_normalizers()
+
+    def test_time_flat_across_slice_sizes(self):
+        """Mini-batch fixed at 60: an iteration over a 20,000-document
+        slice costs at most 1.2x one over 200 documents (min of N runs,
+        the sizes interleaved).  The host's speed drifts, so a round
+        that misses the bound is measured again, up to three rounds; a
+        cost that grows with D_t misses it in every round."""
+        k, v = 10, 200
+        hyper, cfg = Hyperparams(K=k), TrainConfig(minibatch_size=60)
+        nb_alpha, nb_phi = first_slice_neighbors(k, v)
+        states = {d_t: random_slice(d_t, k=k, v=v) for d_t in (200, 20_000)}
+        ratios = []
+        for _ in range(3):
+            best = {d_t: np.inf for d_t in states}
+            for i in range(10):
+                for d_t, st in states.items():
+                    t0 = time.perf_counter()
+                    run_iteration(st, nb_alpha, nb_phi, hyper, cfg, i)
+                    best[d_t] = min(best[d_t], time.perf_counter() - t0)
+            ratios.append(best[20_000] / best[200])
+            if ratios[-1] <= 1.2:
+                break
+        assert min(ratios) <= 1.2, ratios

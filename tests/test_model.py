@@ -3,8 +3,10 @@ import pytest
 
 from dtmgibbs.corpus import load_corpus
 from dtmgibbs.kernels import rng_for, softmax
-from dtmgibbs.model import (Hyperparams, accumulate_counts, apply_z_update,
-                            init_state, load_checkpoint, read_slice_checkpoint,
+import dtmgibbs.model
+from dtmgibbs.model import (Hyperparams, SliceState, accumulate_counts,
+                            apply_z_update, init_state, load_checkpoint,
+                            read_slice_checkpoint, row_log_norms,
                             checkpoint_path, write_checkpoint)
 
 
@@ -210,7 +212,97 @@ class TestCheckpoints:
             read_slice_checkpoint(path)
 
 
+    @pytest.mark.parametrize("where", ["header", "phi", "z"])
+    def test_flipped_byte_rejected(self, tmp_path, where):
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=5)
+        path = checkpoint_path(tmp_path / "ck", 1)
+        blob = bytearray(path.read_bytes())
+        # header: the iteration field, which no structural check can catch;
+        # phi: its first byte after the 37-byte header and K alpha floats;
+        # z: the last byte before the 4-byte checksum
+        offset = {"header": 13, "phi": 37 + 2 * 8, "z": len(blob) - 5}[where]
+        blob[offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="checksum"):
+            read_slice_checkpoint(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=5)
+        path = checkpoint_path(tmp_path / "ck", 1)
+        before = path.read_bytes()
+        real = dtmgibbs.model._checkpoint_chunks
+
+        def fail_part_way(*args):
+            chunks = real(*args)
+            yield next(chunks)
+            yield next(chunks)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dtmgibbs.model, "_checkpoint_chunks", fail_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=6)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+            "slice_0001.dtmc", "slice_0002.dtmc"]
+        assert read_slice_checkpoint(path)["iteration"] == 5
+
+
+def per_row_log_norms(x):
+    """The one-row formula, row by row: the reference for row_log_norms."""
+    out = np.empty(x.shape[0])
+    for d in range(x.shape[0]):
+        m = x[d].max()
+        out[d] = m + np.log(np.exp(x[d] - m).sum())
+    return out
+
+
 class TestNormalizerCache:
+    def test_row_helper_equals_per_row_formula_bitwise(self):
+        rng = np.random.default_rng(3)
+        for k in list(range(1, 130)) + [1000, 3000]:
+            n = 40 if k < 1000 else 4
+            for scale in (1.0, 30.0, 600.0):
+                x = scale * rng.uniform(-1.0, 1.0, size=(n, k))
+                x[0] = 0.0                      # an all-zero row
+                np.testing.assert_array_equal(row_log_norms(x), per_row_log_norms(x))
+                rows = rng.choice(n, size=min(n, 7), replace=False)
+                np.testing.assert_array_equal(row_log_norms(x[rows]),
+                                              per_row_log_norms(x)[rows])
+
+    def test_row_helper_handles_column_major_and_no_rows(self):
+        x = np.random.default_rng(4).normal(size=(50, 17)) * 50
+        np.testing.assert_array_equal(row_log_norms(np.asfortranarray(x)),
+                                      per_row_log_norms(x))
+        assert row_log_norms(np.empty((0, 5))).shape == (0,)
+
+    def test_refresh_of_no_rows_changes_nothing(self):
+        rng = np.random.default_rng(5)
+        sl = SliceState(1, [], np.zeros(3), rng.normal(size=(3, 4)),
+                        rng.normal(size=(6, 3)), [])
+        before = sl.eta_log_norm.copy()
+        sl.eta[:] = 0.0
+        sl.refresh_eta_norm([])
+        np.testing.assert_array_equal(sl.eta_log_norm, before)
+
+    def test_successor_refreshes_only_changed_rows(self):
+        rng = np.random.default_rng(6)
+        sl = SliceState(1, [], np.zeros(4), rng.normal(size=(4, 9)),
+                        rng.normal(size=(30, 4)), [])
+        eta = sl.eta.copy()
+        eta[[3, 17]] = rng.normal(size=(2, 4)) * 20
+        phi = rng.normal(size=(4, 9))
+        nxt = sl.successor(np.ones(4), phi, eta, [], [3, 17])
+        fresh = SliceState(1, [], np.ones(4), phi, eta, [])
+        np.testing.assert_array_equal(nxt.eta_log_norm, fresh.eta_log_norm)
+        np.testing.assert_array_equal(nxt.phi_log_norm, fresh.phi_log_norm)
+        assert not np.shares_memory(nxt.eta_log_norm, sl.eta_log_norm)
+        assert sl.eta_log_norm[3] != nxt.eta_log_norm[3]   # the parent is untouched
+
+
     def test_cache_matches_recompute(self, tmp_path):
         c = make_corpus(tmp_path)
         st = init_state(c, Hyperparams(K=3), seed=0)
