@@ -84,11 +84,24 @@ def row_log_norms(x: np.ndarray) -> np.ndarray:
 
     Each entry equals the one-row formula ``m + log(sum(exp(row - m)))``
     bit for bit: the rows are summed from C-contiguous memory, so numpy
-    reduces each one in the same order as a 1-D sum.
+    reduces each one in the same order as a 1-D sum.  The exponentials
+    overwrite the shifted copy, so the only temporary is one array the
+    size of ``x``.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     m = x.max(axis=1)
-    return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
+    e = x - m[:, None]
+    np.exp(e, out=e)
+    return m + np.log(e.sum(axis=1))
+
+
+def _refresh_rows(values: np.ndarray, norms: np.ndarray, rows=None) -> None:
+    """Recompute ``norms`` for the given rows of ``values`` (all if None)."""
+    if rows is None:
+        norms[:] = row_log_norms(values)
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        norms[rows] = row_log_norms(values[rows])
 
 
 class SliceState:
@@ -151,18 +164,10 @@ class SliceState:
         return self.phi.shape[1]
 
     def refresh_eta_norm(self, docs=None) -> None:
-        if docs is None:
-            self.eta_log_norm[:] = row_log_norms(self.eta)
-        else:
-            rows = np.asarray(docs, dtype=np.intp)
-            self.eta_log_norm[rows] = row_log_norms(self.eta[rows])
+        _refresh_rows(self.eta, self.eta_log_norm, docs)
 
     def refresh_phi_norm(self, topics=None) -> None:
-        if topics is None:
-            self.phi_log_norm[:] = row_log_norms(self.phi)
-        else:
-            rows = np.asarray(topics, dtype=np.intp)
-            self.phi_log_norm[rows] = row_log_norms(self.phi[rows])
+        _refresh_rows(self.phi, self.phi_log_norm, topics)
 
     def validate_normalizers(self, atol: float = 1e-9) -> None:
         for d in range(self.n_docs):
