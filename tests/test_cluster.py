@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 import socket
 import threading
 import time
@@ -287,8 +288,9 @@ class TestSocketFailures:
         monkeypatch.setattr(cluster, "worker_loop", worker_loop)
         monkeypatch.setattr(cluster, "DEFAULT_TIMEOUT", 1.0)
         message = self._run_until_failure(small_synthetic, tmp_path)
-        # worker 2 times out waiting on worker 1 and exits; worker 1 is stopped
-        assert "worker-2 exited with code 1" in message
+        # worker 2 times out waiting on worker 1, and worker 3 waiting on
+        # worker 2, at about the same time; the sleeping worker 1 is stopped
+        assert re.search(r"worker-[23] exited with code 1", message), message
 
 
 class TestTopology:
