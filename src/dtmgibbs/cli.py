@@ -245,9 +245,10 @@ def cmd_gen_synthetic(args) -> int:
 def cmd_worker(args) -> int:
     import socket as socketlib
 
-    from .cluster import (KIND_DONE, KIND_HELLO, KIND_HELLO_OK, KIND_METRICS,
-                          ProtocolError, encode_frame, parse_topology,
-                          recv_frame, run_worker, send_frame)
+    from .cluster import (DEFAULT_TIMEOUT, KIND_DONE, KIND_HELLO, KIND_HELLO_OK,
+                          KIND_METRICS, ProtocolError, configure_socket,
+                          encode_frame, parse_topology, recv_frame, run_worker,
+                          send_frame)
 
     settings = resolve_settings(args)
     out = Path(settings.get("out", "."))
@@ -271,10 +272,14 @@ def cmd_worker(args) -> int:
     coord = None
     metrics_sink = None
     if topo.coordinator is not None:
+        who = f"worker {worker_id} <-> coordinator"
         last = None
         for _ in range(100):  # the coordinator may still be starting up
             try:
-                coord = socketlib.create_connection(topo.coordinator, timeout=60)
+                coord = configure_socket(
+                    socketlib.create_connection(topo.coordinator,
+                                                timeout=DEFAULT_TIMEOUT),
+                    DEFAULT_TIMEOUT)
                 break
             except OSError as exc:
                 last = exc
@@ -284,8 +289,8 @@ def cmd_worker(args) -> int:
                   file=sys.stderr)
             return EXIT_PEER
         send_frame(coord, encode_frame(KIND_HELLO, 0, worker_id,
-                                       str(topo.checksum()).encode()))
-        reply = recv_frame(coord)
+                                       str(topo.checksum()).encode()), who)
+        reply = recv_frame(coord, who)
         if reply.kind != KIND_HELLO_OK:
             print(f"worker {worker_id}: topology checksum rejected by coordinator",
                   file=sys.stderr)
@@ -293,15 +298,15 @@ def cmd_worker(args) -> int:
 
         def metrics_sink(row):
             send_frame(coord, encode_frame(KIND_METRICS, row["iteration"], worker_id,
-                                           json.dumps(row).encode()))
+                                           json.dumps(row).encode()), who)
 
     ckpt_dir = Path(settings.get("checkpoint") or (out / "checkpoints"))
     run_worker(worker_id, assignment, topo.workers, train_corpus, hyper, cfg,
                ckpt_dir, metrics_sink=metrics_sink)
     if coord is not None:
         # hold until the coordinator acknowledges the final checkpoint
-        send_frame(coord, encode_frame(KIND_DONE, cfg.iterations, worker_id))
-        ack = recv_frame(coord)
+        send_frame(coord, encode_frame(KIND_DONE, cfg.iterations, worker_id), who)
+        ack = recv_frame(coord, who)
         if ack.kind != KIND_DONE:
             print(f"worker {worker_id}: unexpected shutdown frame {ack.kind}",
                   file=sys.stderr)
@@ -316,8 +321,8 @@ def cmd_coordinator(args) -> int:
 
     from .cluster import (DEFAULT_TIMEOUT, KIND_DONE, KIND_HELLO,
                           KIND_HELLO_MISMATCH, KIND_HELLO_OK, KIND_METRICS,
-                          ProtocolError, encode_frame, parse_topology,
-                          recv_frame, send_frame)
+                          ProtocolError, configure_socket, encode_frame,
+                          parse_topology, recv_frame, send_frame)
     from .engine import metrics_to_csv
 
     settings = resolve_settings(args)
@@ -336,8 +341,8 @@ def cmd_coordinator(args) -> int:
     try:
         while len(conns) < len(topo.workers):
             conn, _ = server.accept()
-            conn.settimeout(DEFAULT_TIMEOUT)
-            hello = recv_frame(conn)
+            configure_socket(conn, DEFAULT_TIMEOUT)
+            hello = recv_frame(conn, "coordinator <- new worker")
             if hello.kind != KIND_HELLO:
                 conn.close()
                 continue
@@ -356,7 +361,7 @@ def cmd_coordinator(args) -> int:
             for wid, conn in conns:
                 if wid in done:
                     continue
-                frame = recv_frame(conn)
+                frame = recv_frame(conn, f"coordinator <- worker {wid}")
                 if frame.kind == KIND_METRICS:
                     rows.append(json.loads(frame.text()))
                 elif frame.kind == KIND_DONE:

@@ -30,6 +30,16 @@ Wire format::
     crc      u32  CRC-32 of every byte before it, header included
 
 Socket framing adds a u32 length prefix per frame.
+
+Every TCP socket the package dials or accepts sets ``TCP_NODELAY``
+(``configure_socket``).  The exchange is stop-and-wait: each frame
+waits for a small ack before the next one goes out.  With Nagle's
+algorithm on, a frame's last partial segment is held until the
+previous segment is acknowledged, and the receiver delays that ACK
+(about 40 ms on Linux), so every frame would stall for a delayed ACK.
+
+A timeout, reset or broken pipe on a socket surfaces as
+``PeerDisconnected`` naming this worker and the peer.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .engine import TrainConfig, run_iteration
-from .model import Hyperparams, ModelState, accumulate_counts, init_state
+from .model import Hyperparams, ModelState, accumulate_counts, init_slice_state
 from .samplers import NeighborContext
 
 MAGIC = b"DTMB"
@@ -143,12 +153,33 @@ def decode_frame(data: bytes) -> Frame:
 # Transport: length-prefixed frames over one socket per adjacent peer.
 # ---------------------------------------------------------------------------
 
+def configure_socket(conn: socket.socket, timeout: float) -> socket.socket:
+    """Give ``conn`` its blocking timeout and, on TCP, ``TCP_NODELAY``.
+
+    Other families (the AF_UNIX socketpairs of the tests) have no Nagle
+    algorithm and no such option.
+    """
+    conn.settimeout(timeout)
+    if conn.family in (socket.AF_INET, socket.AF_INET6):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return conn
+
+
+def _peer_error(conn: socket.socket, who: str, exc: OSError) -> PeerDisconnected:
+    if isinstance(exc, TimeoutError):
+        return PeerDisconnected(f"{who}: no progress in {conn.gettimeout():g} s")
+    return PeerDisconnected(f"{who}: {exc}")
+
+
 def _read_exact(conn: socket.socket, n: int, who: str) -> bytearray:
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
     while got < n:
-        chunk = conn.recv_into(view[got:])
+        try:
+            chunk = conn.recv_into(view[got:])
+        except (TimeoutError, ConnectionError) as exc:
+            raise _peer_error(conn, who, exc) from exc
         if not chunk:
             raise PeerDisconnected(f"{who}: peer closed the connection")
         got += chunk
@@ -159,8 +190,8 @@ class SocketTransport:
     """Length-prefixed frames over already-connected sockets, one per peer.
 
     ``conns`` maps each adjacent worker id to its socket; every socket
-    gets ``timeout`` as its blocking timeout.  ``connect`` builds the
-    sockets over TCP.
+    goes through ``configure_socket`` with ``timeout``.  ``connect``
+    builds the sockets over TCP.
     """
 
     def __init__(self, worker_id: int, conns: dict, timeout: float | None = None):
@@ -168,7 +199,7 @@ class SocketTransport:
         self._conns = dict(conns)
         timeout = DEFAULT_TIMEOUT if timeout is None else timeout
         for conn in self._conns.values():
-            conn.settimeout(timeout)
+            configure_socket(conn, timeout)
 
     @classmethod
     def connect(cls, worker_id: int, address, peers: dict,
@@ -195,8 +226,8 @@ class SocketTransport:
                                            connect_retries)
             for _ in need_accept:
                 conn, _ = listener.accept()
-                conn.settimeout(timeout)
-                hello = recv_frame(conn)
+                configure_socket(conn, timeout)
+                hello = recv_frame(conn, f"worker {worker_id} <- new peer")
                 if hello.kind != KIND_HELLO:
                     conn.close()
                     raise ProtocolError("expected hello frame on accept")
@@ -211,7 +242,7 @@ class SocketTransport:
         return cls(worker_id, conns, timeout)
 
     def send(self, to_id: int, data: bytes) -> None:
-        send_frame(self._conns[to_id], data)
+        send_frame(self._conns[to_id], data, f"worker {self.worker_id} -> {to_id}")
 
     def recv(self, from_id: int) -> bytearray:
         return _recv_bytes(self._conns[from_id], f"worker {self.worker_id} <- {from_id}")
@@ -229,8 +260,10 @@ def _dial(worker_id: int, peer_id: int, addr, timeout: float,
     last = None
     for _ in range(retries):
         try:
-            conn = socket.create_connection(addr, timeout=timeout)
-            send_frame(conn, encode_frame(KIND_HELLO, 0, worker_id))
+            conn = configure_socket(socket.create_connection(addr, timeout=timeout),
+                                    timeout)
+            send_frame(conn, encode_frame(KIND_HELLO, 0, worker_id),
+                       f"worker {worker_id} -> {peer_id}")
             return conn
         except OSError as exc:
             last = exc
@@ -238,8 +271,11 @@ def _dial(worker_id: int, peer_id: int, addr, timeout: float,
     raise PeerDisconnected(f"worker {worker_id}: cannot reach {peer_id} at {addr}: {last}")
 
 
-def send_frame(conn: socket.socket, data: bytes) -> None:
-    conn.sendall(struct.pack("<I", len(data)) + data)
+def send_frame(conn: socket.socket, data: bytes, who: str = "frame") -> None:
+    try:
+        conn.sendall(struct.pack("<I", len(data)) + data)
+    except (TimeoutError, ConnectionError) as exc:
+        raise _peer_error(conn, who, exc) from exc
 
 
 def _recv_bytes(conn: socket.socket, who: str) -> bytearray:
@@ -247,8 +283,8 @@ def _recv_bytes(conn: socket.socket, who: str) -> bytearray:
     return _read_exact(conn, n, who)
 
 
-def recv_frame(conn: socket.socket) -> Frame:
-    return decode_frame(_recv_bytes(conn, "frame"))
+def recv_frame(conn: socket.socket, who: str = "frame") -> Frame:
+    return decode_frame(_recv_bytes(conn, who))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +389,9 @@ def worker_loop(worker_id: int, owned_slices, corpus: Corpus, hyper: Hyperparams
     owned = sorted(owned_slices)
     lo, hi = owned[0], owned[-1]
     if initial is None:
-        full = init_state(corpus, hyper, cfg.seed)
-        states = {t: full.slices[t - 1] for t in owned}
+        v = corpus.vocabulary.size
+        states = {t: init_slice_state(corpus.slices[t - 1], hyper.K, v, cfg.seed)
+                  for t in owned}
     else:
         states = dict(initial)
     counts = {t: accumulate_counts(states[t], range(states[t].n_docs)) for t in owned}

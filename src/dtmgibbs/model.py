@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, TimeSlice
 from .kernels import log_sum_exp, rng_for
 
 CHECKPOINT_MAGIC = b"DTMC"
@@ -190,20 +190,25 @@ class ModelState:
         return len(self.slices)
 
 
+def init_slice_state(sl: TimeSlice, k: int, v: int, seed: int) -> SliceState:
+    """Fresh state of one slice, from streams keyed by its index alone,
+    so a worker can build just the slices it owns."""
+    t = sl.slice_index
+    tokens = [doc.tokens for doc in sl.docs]
+    phi = rng_for(seed, "init-phi", t).normal(0.0, np.sqrt(PHI_INIT_VARIANCE), size=(k, v))
+    eta = np.zeros((sl.n_docs, k))
+    zrng = rng_for(seed, "init-z", t)
+    z = [zrng.integers(0, k, size=len(w)).astype(np.int32) for w in tokens]
+    return SliceState(t, tokens, np.zeros(k), phi, eta, z)
+
+
 def init_state(corpus: Corpus, hyper: Hyperparams, seed: int) -> ModelState:
     """Fresh state: zero means, small-noise topics, uniform assignments."""
     v = corpus.vocabulary.size
-    k = hyper.K
     slices = []
     counts = []
     for sl in corpus.slices:
-        t = sl.slice_index
-        tokens = [doc.tokens for doc in sl.docs]
-        phi = rng_for(seed, "init-phi", t).normal(0.0, np.sqrt(PHI_INIT_VARIANCE), size=(k, v))
-        eta = np.zeros((sl.n_docs, k))
-        zrng = rng_for(seed, "init-z", t)
-        z = [zrng.integers(0, k, size=len(w)).astype(np.int32) for w in tokens]
-        state = SliceState(t, tokens, np.zeros(k), phi, eta, z)
+        state = init_slice_state(sl, hyper.K, v, seed)
         slices.append(state)
         counts.append(accumulate_counts(state, range(sl.n_docs)))
     return ModelState(hyper=hyper, slices=slices, counts=counts, vocabulary_size=v)

@@ -285,6 +285,71 @@ class TestWorkerCoordinator:
         assert time.monotonic() - t0 < 10
         assert "peer error:" in capsys.readouterr().err
 
+    def test_coordinator_sockets_set_nodelay(self, tmp_path, corpus_file, monkeypatch):
+        import socket
+        import threading
+
+        from dtmgibbs import cluster
+        w1, coord = cluster.free_ports(2)
+        topo = tmp_path / "topo.txt"
+        write_topology(topo, [w1], coord, slices={1: [1, 2]})
+        monkeypatch.setattr(cluster, "DEFAULT_TIMEOUT", 10.0)
+        seen = []   # (local port, remote port, TCP_NODELAY) per frame sent or received
+        for name in ("send_frame", "recv_frame"):
+            def spy(conn, *args, real=getattr(cluster, name)):
+                seen.append((conn.getsockname()[1], conn.getpeername()[1],
+                             conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)))
+                return real(conn, *args)
+            monkeypatch.setattr(cluster, name, spy)
+
+        codes = {}
+        coordinator = threading.Thread(target=lambda: codes.setdefault(
+            "coordinator", main(["coordinator", "--topology", str(topo),
+                                 "--out", str(tmp_path / "coord")])))
+        coordinator.start()
+        try:
+            codes["worker"] = main(["worker", "--corpus", str(corpus_file),
+                                    "--topics", "3", "--iterations", "2",
+                                    "--minibatch", "5", "--test-fraction", "0",
+                                    "--topology", str(topo), "--worker-id", "1",
+                                    "--out", str(tmp_path / "w1")])
+        finally:
+            coordinator.join(timeout=30)
+        assert not coordinator.is_alive()
+        assert codes == {"coordinator": 0, "worker": 0}
+        accepted = [s for s in seen if s[0] == coord]   # the coordinator's side
+        dialed = [s for s in seen if s[1] == coord]     # the worker's side
+        assert accepted and dialed
+        assert all(nodelay != 0 for *_, nodelay in seen), seen
+
+    def test_silent_peer_exit_4(self, tmp_path, corpus_file):
+        import socket
+        import time
+
+        from dtmgibbs.cluster import free_ports
+        w1, w2 = free_ports(2)
+        topo = tmp_path / "topo.txt"
+        topo.write_text(f"worker 1 = 127.0.0.1:{w1}\nworker 2 = 127.0.0.1:{w2}\n",
+                        encoding="utf-8")
+        launch = ("import sys; import dtmgibbs.cluster as c; c.DEFAULT_TIMEOUT = 1.0; "
+                  "from dtmgibbs.cli import main; sys.exit(main(sys.argv[1:]))")
+        # worker 1 listens (the kernel completes worker 2's dial) and never answers
+        with socket.create_server(("127.0.0.1", w1)):
+            t0 = time.monotonic()
+            worker = subprocess.run(
+                [sys.executable, "-c", launch, "worker", "--corpus", str(corpus_file),
+                 "--topics", "3", "--iterations", "2", "--test-fraction", "0",
+                 "--topology", str(topo), "--worker-id", "2",
+                 "--out", str(tmp_path / "w2")],
+                capture_output=True, text=True, timeout=60)
+            elapsed = time.monotonic() - t0
+        assert worker.returncode == 4, worker.stderr
+        assert elapsed < 15
+        errors = [ln for ln in worker.stderr.splitlines() if ln.startswith("peer error:")]
+        assert len(errors) == 1, worker.stderr
+        assert errors[0].startswith("peer error: worker 2 <- 1:"), errors
+        assert "Traceback" not in worker.stderr
+
 
 class TestConfigFile:
     def test_parse_comments_and_spacing(self, tmp_path):

@@ -17,8 +17,9 @@ from dtmgibbs.cluster import (KIND_ALPHA, KIND_PHI, BoundaryMessage,
                               default_topology, exchange_boundaries,
                               parse_topology, run_distributed_sockets,
                               worker_loop)
+from dtmgibbs import model
 from dtmgibbs.engine import TrainConfig, train
-from dtmgibbs.model import Hyperparams
+from dtmgibbs.model import Hyperparams, init_state
 from dtmgibbs.synthetic import generate_synthetic
 
 # short enough that a protocol hang fails the test quickly
@@ -114,6 +115,18 @@ def _on_threads(jobs):
         th.join(timeout=6 * TIMEOUT)
         assert not th.is_alive(), f"{th.name} still running"
     return out, errs
+
+
+def _tcp_transports():
+    """Workers 1 and 2 joined by ``SocketTransport.connect`` over 127.0.0.1:
+    worker 1 accepts, worker 2 dials."""
+    addrs = {w: ("127.0.0.1", port) for w, port in zip((1, 2), cluster.free_ports(2))}
+    out, errs = _on_threads({
+        w: (lambda w=w: SocketTransport.connect(w, addrs[w], {3 - w: addrs[3 - w]},
+                                                timeout=TIMEOUT))
+        for w in (1, 2)})
+    assert not errs, errs
+    return out
 
 
 def _pair_exchange(wrap2=lambda tr: tr, k=3, v=4):
@@ -291,6 +304,97 @@ class TestSocketFailures:
         # worker 2 times out waiting on worker 1, and worker 3 waiting on
         # worker 2, at about the same time; the sleeping worker 1 is stopped
         assert re.search(r"worker-[23] exited with code 1", message), message
+
+
+    def test_silent_peer_raises_peer_disconnected(self):
+        mine, theirs = socket.socketpair()
+        transport = SocketTransport(1, {2: mine}, timeout=0.2)
+        try:
+            with pytest.raises(PeerDisconnected, match=r"worker 1 <- 2: no progress in 0.2 s"):
+                transport.recv(2)
+        finally:
+            transport.close()
+            theirs.close()
+
+    def test_closed_peer_raises_peer_disconnected(self):
+        mine, theirs = socket.socketpair()
+        transport = SocketTransport(1, {2: mine}, timeout=TIMEOUT)
+        theirs.close()
+        try:
+            with pytest.raises(PeerDisconnected, match=r"worker 1 -> 2: .*Broken pipe"):
+                transport.send(2, bytes(1 << 20))
+        finally:
+            transport.close()
+
+
+class TestTcpTransport:
+    """Over real TCP: stop-and-wait frames stall on Nagle plus delayed ACK
+    unless every socket sets TCP_NODELAY (socketpairs cannot show it)."""
+
+    def test_connected_pair_sets_nodelay(self):
+        transports = _tcp_transports()
+        try:
+            accepted, dialed = transports[1]._conns[2], transports[2]._conns[1]
+            for conn in (accepted, dialed):
+                assert conn.family == socket.AF_INET
+                assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            for tr in transports.values():
+                tr.close()
+
+    def test_exchange_rounds_are_not_stalled(self):
+        # about 3 ms per round with TCP_NODELAY, about 87 ms without
+        k, v, rounds = 50, 1000, 20
+        rng = np.random.default_rng(0)
+        loads = {w: (w, rng.normal(size=k), rng.normal(size=(k, v))) for w in (1, 2)}
+        sides = {1: dict(send_right=loads[1], right_peer=2),
+                 2: dict(send_left=loads[2], left_peer=1)}
+        transports = _tcp_transports()
+
+        def job(w):
+            return lambda: [exchange_boundaries(transports[w], w, i, **sides[w])
+                            for i in range(rounds)][-1]
+
+        try:
+            t0 = time.perf_counter()
+            out, errs = _on_threads({w: job(w) for w in (1, 2)})
+            per_round = (time.perf_counter() - t0) / rounds
+        finally:
+            for tr in transports.values():
+                tr.close()
+        assert not errs, errs
+        np.testing.assert_array_equal(out[1]["right"][1], loads[2][2])
+        np.testing.assert_array_equal(out[2]["left"][1], loads[1][2])
+        assert per_round < 0.020, f"{per_round * 1e3:.1f} ms per exchange round"
+
+
+class TestWorkerInit:
+    def test_owned_slices_equal_full_init(self, small_synthetic):
+        hyper, corpus, _ = small_synthetic  # T=3
+        cfg = TrainConfig(iterations=0, seed=9)
+        full = init_state(corpus, hyper, cfg.seed)
+        res = worker_loop(2, [2, 3], corpus, hyper, cfg, None, corpus.n_slices, 1, None)
+        assert sorted(res.slices) == [2, 3]
+        assert states_equal(SimpleNamespace(slices=full.slices[1:]),
+                            _as_state({2: res}))
+        for t in (2, 3):
+            assert res.counts[t].equals(full.counts[t - 1])
+
+    def test_builds_only_owned_slices(self, monkeypatch):
+        hyper = Hyperparams(K=3)
+        corpus, _ = generate_synthetic(hyper, v=20, n_slices=4,
+                                       docs_per_slice=6, doc_len=8, seed=2)
+        streams = []
+        real = model.rng_for
+
+        def rng_for(seed, *path):
+            streams.append(path)
+            return real(seed, *path)
+
+        monkeypatch.setattr(model, "rng_for", rng_for)
+        worker_loop(2, [2], corpus, hyper, TrainConfig(iterations=0, seed=1), None,
+                    corpus.n_slices, 1, 3)
+        assert sorted(streams) == [("init-phi", 2), ("init-z", 2)]
 
 
 class TestTopology:
