@@ -347,12 +347,14 @@ def cmd_coordinator(args) -> int:
                 conn.close()
                 continue
             if hello.text() != expected:
-                send_frame(conn, encode_frame(KIND_HELLO_MISMATCH, 0, 0))
+                send_frame(conn, encode_frame(KIND_HELLO_MISMATCH, 0, 0),
+                           f"coordinator -> worker {hello.sender}")
                 print(f"coordinator: worker {hello.sender} has a different topology",
                       file=sys.stderr)
                 conn.close()
                 return EXIT_PEER
-            send_frame(conn, encode_frame(KIND_HELLO_OK, 0, 0))
+            send_frame(conn, encode_frame(KIND_HELLO_OK, 0, 0),
+                       f"coordinator -> worker {hello.sender}")
             conns.append((hello.sender, conn))
 
         rows = []
@@ -365,7 +367,8 @@ def cmd_coordinator(args) -> int:
                 if frame.kind == KIND_METRICS:
                     rows.append(json.loads(frame.text()))
                 elif frame.kind == KIND_DONE:
-                    send_frame(conn, encode_frame(KIND_DONE, frame.iteration, 0))
+                    send_frame(conn, encode_frame(KIND_DONE, frame.iteration, 0),
+                               f"coordinator -> worker {wid}")
                     done.add(wid)
         metrics_to_csv(rows, out / "metrics.csv")
         print(f"coordinator: collected {len(rows)} metric rows from "

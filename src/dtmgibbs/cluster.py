@@ -271,7 +271,7 @@ def _dial(worker_id: int, peer_id: int, addr, timeout: float,
     raise PeerDisconnected(f"worker {worker_id}: cannot reach {peer_id} at {addr}: {last}")
 
 
-def send_frame(conn: socket.socket, data: bytes, who: str = "frame") -> None:
+def send_frame(conn: socket.socket, data: bytes, who: str) -> None:
     try:
         conn.sendall(struct.pack("<I", len(data)) + data)
     except (TimeoutError, ConnectionError) as exc:
@@ -283,7 +283,7 @@ def _recv_bytes(conn: socket.socket, who: str) -> bytearray:
     return _read_exact(conn, n, who)
 
 
-def recv_frame(conn: socket.socket, who: str = "frame") -> Frame:
+def recv_frame(conn: socket.socket, who: str) -> Frame:
     return decode_frame(_recv_bytes(conn, who))
 
 
