@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import states_equal
 
-from dtmgibbs import cluster
+from dtmgibbs import cluster, model
 from dtmgibbs.cluster import (KIND_ALPHA, KIND_PHI, BoundaryMessage,
                               PeerDisconnected, ProtocolError,
                               SocketTransport, Topology,
@@ -17,7 +17,6 @@ from dtmgibbs.cluster import (KIND_ALPHA, KIND_PHI, BoundaryMessage,
                               default_topology, exchange_boundaries,
                               parse_topology, run_distributed_sockets,
                               worker_loop)
-from dtmgibbs import model
 from dtmgibbs.engine import TrainConfig, train
 from dtmgibbs.model import Hyperparams, init_state
 from dtmgibbs.synthetic import generate_synthetic
@@ -305,7 +304,6 @@ class TestSocketFailures:
         # worker 2, at about the same time; the sleeping worker 1 is stopped
         assert re.search(r"worker-[23] exited with code 1", message), message
 
-
     def test_silent_peer_raises_peer_disconnected(self):
         mine, theirs = socket.socketpair()
         transport = SocketTransport(1, {2: mine}, timeout=0.2)
@@ -343,7 +341,7 @@ class TestTcpTransport:
                 tr.close()
 
     def test_exchange_rounds_are_not_stalled(self):
-        # about 3 ms per round with TCP_NODELAY, about 87 ms without
+        # a few ms per round with TCP_NODELAY, about 86 ms without
         k, v, rounds = 50, 1000, 20
         rng = np.random.default_rng(0)
         loads = {w: (w, rng.normal(size=k), rng.normal(size=(k, v))) for w in (1, 2)}
