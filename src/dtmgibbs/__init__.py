@@ -11,13 +11,12 @@ from .engine import TrainConfig, TrainResult, train
 from .evaluation import (EvalConfig, PerplexityReport, export_trends,
                          infer_doc_eta, perplexity, top_words)
 from .kernels import (AliasTable, SgldSchedule, alias_draw, build_alias_table,
-                      gaussian_vector, log_sum_exp, refill_pool, rng_for,
-                      softmax, step_size)
+                      log_sum_exp, refill_pool, rng_for, softmax, step_size)
 from .model import (CountSet, Hyperparams, ModelState, SliceState,
-                    accumulate_counts, apply_z_update, init_state,
-                    load_checkpoint, write_checkpoint)
+                    accumulate_counts, init_state, load_checkpoint,
+                    write_checkpoint)
 from .samplers import (NeighborContext, grad_log_post_eta, grad_log_post_phi,
-                       mh_sample_token, rebuild_proposals, sample_alpha,
+                       mh_sweep_document, rebuild_proposals, sample_alpha,
                        sample_tokens_exact, sgld_update_eta, sgld_update_phi)
 from .synthetic import generate_synthetic
 

@@ -48,11 +48,35 @@ def parse_config_file(path) -> dict:
 
 
 def parse_schedule(text: str):
+    """An 'a,b,c' step-size schedule.  Every command starts at iteration
+    0, where the step a * b^-c needs b > 0."""
     from .kernels import SgldSchedule
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ConfigError(f"schedule must be 'a,b,c', got {text!r}")
-    return SgldSchedule(float(parts[0]), float(parts[1]), float(parts[2]))
+    schedule = SgldSchedule(float(parts[0]), float(parts[1]), float(parts[2]))
+    if schedule.b <= 0:
+        raise ConfigError("schedule offset b must be positive")
+    return schedule
+
+
+def _setting(settings: dict, key: str, parse, low=None):
+    """``parse(settings[key])``, at least ``low`` if given; a value that
+    fails is a configuration error that names the key."""
+    try:
+        value = parse(settings[key])
+        if low is not None and value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {settings[key]!r}: {exc}") from None
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError("must be positive")
+    return value
 
 
 _DEFAULTS = {
@@ -131,16 +155,16 @@ def write_manifest(out_dir: Path, settings: dict) -> None:
 def _hyper_and_config(settings):
     from .engine import TrainConfig
     from .model import Hyperparams
-    hyper = Hyperparams(K=int(settings["topics"]),
-                        sigma2=float(settings["sigma2"]),
-                        beta2=float(settings["beta2"]),
-                        psi2=float(settings["psi2"]))
-    cfg = TrainConfig(iterations=int(settings["iterations"]),
-                      minibatch_size=int(settings["minibatch"]),
-                      schedule_eta=parse_schedule(settings["eta_schedule"]),
-                      schedule_phi=parse_schedule(settings["phi_schedule"]),
-                      seed=int(settings["seed"]),
-                      checkpoint_every=int(settings["checkpoint_every"]))
+    hyper = Hyperparams(K=_setting(settings, "topics", int, 1),
+                        sigma2=_setting(settings, "sigma2", _positive),
+                        beta2=_setting(settings, "beta2", _positive),
+                        psi2=_setting(settings, "psi2", _positive))
+    cfg = TrainConfig(iterations=_setting(settings, "iterations", int, 0),
+                      minibatch_size=_setting(settings, "minibatch", int, 1),
+                      schedule_eta=_setting(settings, "eta_schedule", parse_schedule),
+                      schedule_phi=_setting(settings, "phi_schedule", parse_schedule),
+                      seed=_setting(settings, "seed", int),
+                      checkpoint_every=_setting(settings, "checkpoint_every", int, 0))
     return hyper, cfg
 
 
@@ -219,15 +243,11 @@ def cmd_trends(args) -> int:
 
 def cmd_gen_synthetic(args) -> int:
     from .corpus import save_corpus
-    from .model import Hyperparams
     from .synthetic import generate_synthetic
     settings = resolve_settings(args)
     out = Path(settings.get("out", "."))
+    hyper, _ = _hyper_and_config(settings)
     write_manifest(out, settings)
-    hyper = Hyperparams(K=int(settings["topics"]),
-                        sigma2=float(settings["sigma2"]),
-                        beta2=float(settings["beta2"]),
-                        psi2=float(settings["psi2"]))
     corpus, params = generate_synthetic(hyper, v=args.vocab, n_slices=args.slices,
                                         docs_per_slice=args.docs_per_slice,
                                         doc_len=args.doc_len,

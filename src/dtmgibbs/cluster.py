@@ -54,9 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .engine import TrainConfig, run_iteration
+from .engine import TrainConfig, neighbor_contexts, run_iteration
 from .model import Hyperparams, ModelState, accumulate_counts, init_slice_state
-from .samplers import NeighborContext
 
 MAGIC = b"DTMB"
 VERSION = 2
@@ -382,9 +381,10 @@ def worker_loop(worker_id: int, owned_slices, corpus: Corpus, hyper: Hyperparams
                 metrics_sink=None) -> WorkerResult:
     """Run cfg.iterations for a contiguous run of owned slices.
 
-    Only the lowest/highest owned slices are exchanged with peers;
-    interior neighbors are read from the worker's own previous-iteration
-    values, same as the sequential engine.
+    Only the lowest/highest owned slices are exchanged with peers; the
+    values received are filed under slices lo-1 and hi+1 next to the
+    worker's own previous-iteration values, and ``neighbor_contexts``
+    reads all of them, as in the sequential engine.
     """
     owned = sorted(owned_slices)
     lo, hi = owned[0], owned[-1]
@@ -397,7 +397,6 @@ def worker_loop(worker_id: int, owned_slices, corpus: Corpus, hyper: Hyperparams
     counts = {t: accumulate_counts(states[t], range(states[t].n_docs)) for t in owned}
     metrics = []
 
-    k, v = hyper.K, corpus.vocabulary.size
     for i in range(start_iteration, start_iteration + cfg.iterations):
         prev_alpha = {t: states[t].alpha for t in owned}
         prev_phi = {t: states[t].phi for t in owned}
@@ -406,25 +405,14 @@ def worker_loop(worker_id: int, owned_slices, corpus: Corpus, hyper: Hyperparams
             send_left=(lo, prev_alpha[lo], prev_phi[lo]) if left_peer is not None else None,
             send_right=(hi, prev_alpha[hi], prev_phi[hi]) if right_peer is not None else None,
             left_peer=left_peer, right_peer=right_peer)
+        for t, side in ((lo - 1, "left"), (hi + 1, "right")):
+            if got[side] is not None:
+                prev_alpha[t], prev_phi[t] = got[side]
 
         next_states = {}
         for t in owned:
-            if t == 1:
-                a_left, p_left = np.zeros(k), np.zeros((k, v))
-            elif t - 1 in states:
-                a_left, p_left = prev_alpha[t - 1], prev_phi[t - 1]
-            else:
-                a_left, p_left = got["left"]
-            if t == n_slices_total:
-                a_right, p_right = None, None
-            elif t + 1 in states:
-                a_right, p_right = prev_alpha[t + 1], prev_phi[t + 1]
-            else:
-                a_right, p_right = got["right"]
-            nxt, cs, row = run_iteration(states[t],
-                                         NeighborContext(left=a_left, right=a_right),
-                                         NeighborContext(left=p_left, right=p_right),
-                                         hyper, cfg, i)
+            nb_alpha, nb_phi = neighbor_contexts(prev_alpha, prev_phi, t, n_slices_total)
+            nxt, cs, row = run_iteration(states[t], nb_alpha, nb_phi, hyper, cfg, i)
             next_states[t] = nxt
             counts[t] = cs
             metrics.append(row)

@@ -136,8 +136,7 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     ms_phi = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    proposals = rebuild_proposals(snap, minibatch, iteration,
-                                  rng_for(seed, "tables", t, iteration))
+    proposals = rebuild_proposals(snap, minibatch, rng_for(seed, "tables", t, iteration))
     for d in minibatch:
         z_next[d] = mh_sweep_document(snap, d, proposals,
                                       rng_for(seed, "z", t, iteration, d))
@@ -215,13 +214,20 @@ class TrainResult:
     iterations_done: int
 
 
-def _neighbor_contexts(alphas, phis, t: int, n_slices: int):
-    """Neighbor values for slice t (1-based); t=1 sees the zero anchor."""
-    k, v = phis[0].shape
-    a_left = alphas[t - 2] if t > 1 else np.zeros(k)
-    p_left = phis[t - 2] if t > 1 else np.zeros((k, v))
-    a_right = alphas[t] if t < n_slices else None
-    p_right = phis[t] if t < n_slices else None
+def neighbor_contexts(alphas: dict, phis: dict, t: int, n_slices: int):
+    """(alpha, phi) neighbor contexts of slice t (1-based) from dicts keyed
+    by slice index.  Slice 1's left neighbor is the zero anchor and slice
+    ``n_slices`` has no right neighbor; every other neighbor is read from
+    the dicts, which must hold t-1 and t+1."""
+    if t > 1:
+        a_left, p_left = alphas[t - 1], phis[t - 1]
+    else:
+        k, v = phis[t].shape
+        a_left, p_left = np.zeros(k), np.zeros((k, v))
+    if t < n_slices:
+        a_right, p_right = alphas[t + 1], phis[t + 1]
+    else:
+        a_right = p_right = None
     return (NeighborContext(left=a_left, right=a_right),
             NeighborContext(left=p_left, right=p_right))
 
@@ -243,11 +249,10 @@ def train(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig, *,
     n = state.n_slices
     try:
         for i in range(start_iteration, start_iteration + cfg.iterations):
-            alphas = [sl.alpha for sl in state.slices]
-            phis = [sl.phi for sl in state.slices]
+            alphas = {t: sl.alpha for t, sl in enumerate(state.slices, start=1)}
+            phis = {t: sl.phi for t, sl in enumerate(state.slices, start=1)}
             for idx in range(n):
-                t = idx + 1
-                nb_alpha, nb_phi = _neighbor_contexts(alphas, phis, t, n)
+                nb_alpha, nb_phi = neighbor_contexts(alphas, phis, idx + 1, n)
                 nxt, counts, row = run_iteration(state.slices[idx], nb_alpha,
                                                  nb_phi, hyper, cfg, i)
                 state.slices[idx] = nxt
@@ -269,16 +274,17 @@ def train(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig, *,
 
 
 class _MetricsWriter:
-    """Appends metrics rows to a CSV file as they are produced."""
+    """Writes metrics rows to a CSV file as they are produced.  With
+    ``append`` (a resumed run) rows go after the file's existing ones;
+    the header is written whenever the file starts out absent or empty."""
 
     def __init__(self, path, append: bool = False):
         self._fh = None
         self._writer = None
         if path:
-            exists = append
             self._fh = open(path, "a" if append else "w", newline="")
             self._writer = csv.DictWriter(self._fh, fieldnames=METRICS_FIELDS)
-            if not exists:
+            if self._fh.tell() == 0:
                 self._writer.writeheader()
 
     def write(self, row: dict) -> None:

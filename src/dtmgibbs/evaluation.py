@@ -27,8 +27,6 @@ class EvalConfig:
     inner_steps: int = 50
     schedule: SgldSchedule = field(default_factory=lambda: SgldSchedule(0.5, 100, 0.8))
     seed: int = 0
-    posterior_mean: bool = False   # average pi(eta) over the last half of the
-                                   # inner loop instead of taking the last sample
 
 
 @dataclass(frozen=True)
@@ -65,16 +63,9 @@ class TopicTrend:
     per_slice_top_words: tuple  # (slice_index, ((term, probability), ...))
 
 
-def _doc_proposals(eta: np.ndarray, word_prob, word_alias, rng) -> MhProposalState:
-    table = build_alias_table(np.exp(eta - eta.max()))
-    refill_pool(table, rng)
-    return MhProposalState({0: table}, word_prob, word_alias, 0)
-
-
 def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,
                   hyper: Hyperparams, schedule: SgldSchedule, steps: int,
-                  rng: np.random.Generator, word_tables=None,
-                  posterior_mean: bool = False) -> np.ndarray:
+                  rng: np.random.Generator, word_tables=None) -> np.ndarray:
     """Infer a document parameter from observed tokens with phi, alpha fixed.
 
     Runs the token-resampling + Langevin sub-loop for ``steps``
@@ -96,10 +87,10 @@ def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,
 
     # one-document state reusing the sweep machinery with phi frozen
     doc = SliceState(0, [observed], alpha_t.copy(), phi_t, eta[None, :].copy(), [z])
-    pi_sum = np.zeros(hyper.K)
-    n_avg = 0
     for i in range(steps):
-        proposals = _doc_proposals(doc.eta[0], word_prob, word_alias, rng)
+        table = build_alias_table(np.exp(doc.eta[0] - doc.eta[0].max()))
+        refill_pool(table, rng)
+        proposals = MhProposalState({0: table}, word_prob, word_alias)
         doc.z[0] = mh_sweep_document(doc, 0, proposals, rng)
         c_doc = np.bincount(doc.z[0], minlength=hyper.K)
         g = grad_log_post_eta(doc.eta[0], alpha_t, c_doc, n_d, hyper.psi2,
@@ -108,13 +99,6 @@ def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,
         # one row: the scalar form of row_log_norms, cheaper at this size
         m = doc.eta[0].max()
         doc.eta_log_norm[0] = m + np.log(np.exp(doc.eta[0] - m).sum())
-        if posterior_mean and i >= steps // 2:
-            pi_sum += softmax(doc.eta[0])
-            n_avg += 1
-    if posterior_mean and n_avg:
-        # return the log of the averaged simplex point; downstream only
-        # ever looks at softmax(eta), for which this is the average
-        return np.log(pi_sum / n_avg)
     return doc.eta[0]
 
 
@@ -152,8 +136,7 @@ def perplexity(split: HoldoutSplit, model: ModelState, eval_cfg: EvalConfig) -> 
             rng = rng_for(eval_cfg.seed, "eval", t, j)
             eta_hat = infer_doc_eta(td.observed, sl.phi, sl.alpha, model.hyper,
                                     eval_cfg.schedule, eval_cfg.inner_steps, rng,
-                                    word_tables=word_tables,
-                                    posterior_mean=eval_cfg.posterior_mean)
+                                    word_tables=word_tables)
             mix = softmax(eta_hat) @ soft_phi       # (V,)
             ll += float(np.log(mix[td.heldout]).sum())
             n += int(td.heldout.size)

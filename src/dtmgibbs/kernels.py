@@ -25,7 +25,6 @@ __all__ = [
     "pool_draw_many",
     "SgldSchedule",
     "step_size",
-    "gaussian_vector",
 ]
 
 
@@ -104,11 +103,6 @@ class AliasTable:
     @property
     def k(self) -> int:
         return self.prob.shape[0]
-
-    @property
-    def pool(self) -> np.ndarray:
-        """Remaining pooled draws, oldest first."""
-        return self._pool[self._pool_pos:]
 
     def pool_size(self) -> int:
         return self._pool.shape[0] - self._pool_pos
@@ -206,13 +200,9 @@ def build_alias_matrix(weight_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return prob.reshape(n, k), alias.reshape(n, k)
 
 
-def alias_draw(table: AliasTable, rng: np.random.Generator, size: int | None = None):
-    """Draw from the table's distribution: two uniforms per sample, O(1)."""
+def alias_draw(table: AliasTable, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws from the table's distribution, two uniforms each."""
     k = table.k
-    if size is None:
-        u1, u2 = rng.random(2)
-        j = min(int(u1 * k), k - 1)
-        return int(j) if u2 < table.prob[j] else int(table.alias[j])
     u = rng.random((size, 2))
     j = np.minimum((u[:, 0] * k).astype(np.int64), k - 1)
     return np.where(u[:, 1] < table.prob[j], j, table.alias[j])
@@ -295,11 +285,3 @@ def step_size(schedule: SgldSchedule, i: int) -> float:
     if base <= 0:
         raise ValueError("b + i must be positive (need b > 0 when i can be 0)")
     return schedule.a * base ** (-schedule.c)
-
-
-def gaussian_vector(mean, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. draws N(mean_k, variance) with a shared scalar variance."""
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    mean = np.asarray(mean, dtype=np.float64)
-    return mean + np.sqrt(variance) * rng.standard_normal(mean.shape)

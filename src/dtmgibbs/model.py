@@ -231,31 +231,6 @@ def accumulate_counts(slice_state: SliceState, doc_subset) -> CountSet:
     return cs
 
 
-def apply_z_update(slice_state: SliceState, counts: CountSet, d: int, n: int,
-                   z_old: int, z_new: int) -> None:
-    """Point a single token at a new topic, maintaining all counts.
-
-    Equivalent to re-running accumulate_counts after the change; a
-    decrement that would go negative means the caller's bookkeeping is
-    broken and raises.
-    """
-    if slice_state.z[d][n] != z_old:
-        raise AssertionError(f"z[{d}][{n}] is {slice_state.z[d][n]}, expected {z_old}")
-    if z_old == z_new:
-        return
-    w = int(slice_state.tokens[d][n])
-    cd = counts.c_doc[d]
-    if cd[z_old] <= 0 or counts.c_word_topic[z_old, w] <= 0 or counts.c_topic[z_old] <= 0:
-        raise AssertionError("count underflow: stale z_old")
-    slice_state.z[d][n] = z_new
-    cd[z_old] -= 1
-    cd[z_new] += 1
-    counts.c_word_topic[z_old, w] -= 1
-    counts.c_word_topic[z_new, w] += 1
-    counts.c_topic[z_old] -= 1
-    counts.c_topic[z_new] += 1
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints: one versioned binary file per slice, little-endian throughout.
 # Layout: magic, version, master_seed u64, iteration u32, T u32, K u32, V u32,

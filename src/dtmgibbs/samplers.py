@@ -23,21 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (AliasTable, alias_draw_stacked, build_alias_matrix,
-                      pool_draw, pool_draw_many, refill_pool)
+                      pool_draw_many, refill_pool)
+from .kernels import pool_draw  # noqa: F401 - perfbench's tracer wraps samplers.pool_draw
 from .model import Hyperparams, SliceState
 
 __all__ = [
     "NeighborContext",
     "MhProposalState",
     "alpha_posterior",
-    "alpha_posterior_mean_direct",
     "sample_alpha",
     "grad_log_post_eta",
     "sgld_update_eta",
     "grad_log_post_phi",
     "sgld_update_phi",
     "rebuild_proposals",
-    "mh_sample_token",
     "mh_sweep_document",
     "sample_tokens_exact",
 ]
@@ -102,22 +101,6 @@ def alpha_posterior(neighbors: NeighborContext, eta_bar, d_t: int,
         mu += (d_t / hyper.psi2) * np.asarray(eta_bar, dtype=np.float64)
     mu /= lam
     return mu, 1.0 / lam
-
-
-def alpha_posterior_mean_direct(neighbors: NeighborContext, eta_bar,
-                                d_t: int, hyper: Hyperparams) -> np.ndarray:
-    """Two-neighbor mean written the long way:
-    abar + ebar - Lambda^{-1} (2/sigma2 * ebar + D_t/psi2 * abar).
-
-    Algebraically identical to the precision-weighted form; kept as an
-    independent expression for cross-checking.
-    """
-    if neighbors.n_present != 2:
-        raise ValueError("direct mean form is defined for two neighbors")
-    abar = neighbors.mean()
-    ebar = np.asarray(eta_bar, dtype=np.float64)
-    lam = 2.0 / hyper.sigma2 + d_t / hyper.psi2
-    return abar + ebar - (2.0 / hyper.sigma2 * ebar + d_t / hyper.psi2 * abar) / lam
 
 
 def sample_alpha(neighbors: NeighborContext, eta_bar, d_t: int,
@@ -222,30 +205,15 @@ class MhProposalState:
     iteration.
     """
 
-    __slots__ = ("doc_tables", "word_prob", "word_alias", "staleness_epoch",
-                 "_word_tables")
+    __slots__ = ("doc_tables", "word_prob", "word_alias")
 
-    def __init__(self, doc_tables, word_prob, word_alias, epoch):
+    def __init__(self, doc_tables, word_prob, word_alias):
         self.doc_tables: dict[int, AliasTable] = doc_tables
         self.word_prob = word_prob
         self.word_alias = word_alias
-        self.staleness_epoch = epoch
-        self._word_tables = None
-
-    @property
-    def word_tables(self) -> list[AliasTable]:
-        """Per-word tables for the scalar token step, made on first access.
-
-        Row views over ``word_prob``/``word_alias`` whose pools start
-        empty and fill from the stream of whoever draws from them.
-        """
-        if self._word_tables is None:
-            self._word_tables = [AliasTable(p, a)
-                                 for p, a in zip(self.word_prob, self.word_alias)]
-        return self._word_tables
 
 
-def rebuild_proposals(slice_state: SliceState, minibatch, iteration: int,
+def rebuild_proposals(slice_state: SliceState, minibatch,
                       rng: np.random.Generator) -> MhProposalState:
     """Fresh proposal tables for one iteration.
 
@@ -267,34 +235,7 @@ def rebuild_proposals(slice_state: SliceState, minibatch, iteration: int,
     col_max = slice_state.phi.max(axis=0)
     word_weights = np.exp(slice_state.phi - col_max).T  # (V, K)
     word_prob, word_alias = build_alias_matrix(word_weights)
-    return MhProposalState(doc_tables, word_prob, word_alias, iteration)
-
-
-def mh_sample_token(d: int, n: int, w: int, z_cur: int, slice_state: SliceState,
-                    proposals: MhProposalState, rng: np.random.Generator) -> int:
-    """One doc-proposal step then one word-proposal step for a single token.
-
-    Doc step: propose s ~ exp(eta_d), accept with min(1, exp(phi[s,w] -
-    phi[z,w])).  Word step: propose s ~ exp(phi[:,w]), accept with
-    min(1, exp(eta_d[s] - eta_d[z])).  Proposals come from the stale
-    pools, and a word pool is first filled from ``rng``; the acceptance
-    ratio is exact because the tables were built from the same
-    parameter values the ratio reads.
-    """
-    eta_d = slice_state.eta[d]
-    phi = slice_state.phi
-    z = z_cur
-
-    s = pool_draw(proposals.doc_tables[d], rng)
-    if s != z:
-        if np.log(rng.random()) < phi[s, w] - phi[z, w]:
-            z = s
-
-    s = pool_draw(proposals.word_tables[w], rng)
-    if s != z:
-        if np.log(rng.random()) < eta_d[s] - eta_d[z]:
-            z = s
-    return z
+    return MhProposalState(doc_tables, word_prob, word_alias)
 
 
 def mh_sweep_document(slice_state: SliceState, d: int, proposals: MhProposalState,
@@ -302,7 +243,11 @@ def mh_sweep_document(slice_state: SliceState, d: int, proposals: MhProposalStat
     """Resample every token of one document; returns the new z array.
 
     Tokens are independent given (eta, phi), so the whole document is
-    one batch of doc-steps followed by one batch of word-steps.  Doc
+    one batch of doc-steps followed by one batch of word-steps.  A doc
+    step proposes s ~ exp(eta_d) and accepts with min(1, exp(phi[s,w] -
+    phi[z,w])); a word step proposes s ~ exp(phi[:,w]) and accepts with
+    min(1, exp(eta_d[s] - eta_d[z])).  The ratios are exact because the
+    tables were built from the parameter values they read.  Doc
     proposals drain the document's own pool; word proposals are drawn
     straight from the stacked word tables with this document's stream,
     so the sweep's output depends only on (document, iteration), never

@@ -40,6 +40,17 @@ def enumerate_alias_measure(table):
     return p
 
 
+def alpha_mean_long_form(neighbors, eta_bar, d_t: int, hyper) -> np.ndarray:
+    """The two-neighbor alpha conditional mean written the long way,
+    abar + ebar - Lambda^{-1} (2/sigma2 * ebar + D_t/psi2 * abar): an
+    oracle independent of the precision-weighted form in the sampler."""
+    abar = (np.asarray(neighbors.left, dtype=np.float64)
+            + np.asarray(neighbors.right, dtype=np.float64)) / 2.0
+    ebar = np.asarray(eta_bar, dtype=np.float64)
+    lam = 2.0 / hyper.sigma2 + d_t / hyper.psi2
+    return abar + ebar - (2.0 / hyper.sigma2 * ebar + d_t / hyper.psi2 * abar) / lam
+
+
 def states_equal(a, b) -> bool:
     """Bitwise equality of two model states, token assignments included."""
     if len(a.slices) != len(b.slices):

@@ -94,6 +94,20 @@ class TestTrainCommand:
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--eta-schedule", "0.5,100,0.4", "eta_schedule"),   # c outside (0.5, 1]
+        ("--eta-schedule", "0.5,0,0.8", "eta_schedule"),     # b = 0 at iteration 0
+        ("--eta-schedule", "x,1,0.8", "eta_schedule"),
+        ("--topics", "0", "topics"),
+        ("--minibatch", "0", "minibatch"),
+    ])
+    def test_bad_setting_value_exit_1(self, tmp_path, corpus_file, capsys,
+                                      flag, value, key):
+        code, out = run_train(tmp_path, corpus_file, extra=[flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} = ")
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_exit_3(self, tmp_path, corpus_file, capsys):
         code, _ = run_train(tmp_path, corpus_file,

@@ -55,6 +55,28 @@ class TestTrain:
         assert lines[0] == ",".join(METRICS_FIELDS)
         assert len(lines) == 8  # header + one row per iteration
 
+    def test_resumed_metrics_get_one_header(self, tmp_path):
+        hyper = Hyperparams(K=3)
+        corpus, _ = generate_synthetic(hyper, v=20, n_slices=1,
+                                       docs_per_slice=10, doc_len=15, seed=0)
+        header = ",".join(METRICS_FIELDS)
+        fresh = tmp_path / "fresh.csv"
+        empty = tmp_path / "empty.csv"
+        empty.touch()
+        for path in (fresh, empty):
+            train(corpus, hyper, TrainConfig(iterations=2, minibatch_size=4, seed=1,
+                                             metrics_path=str(path)),
+                  start_iteration=5)
+            lines = path.read_text().strip().splitlines()
+            assert lines[0] == header and len(lines) == 3
+        # a resumed run appends rows to the existing file, no second header
+        train(corpus, hyper, TrainConfig(iterations=2, minibatch_size=4, seed=1,
+                                         metrics_path=str(fresh)),
+              start_iteration=7)
+        lines = fresh.read_text().strip().splitlines()
+        assert lines.count(header) == 1 and len(lines) == 5
+        assert [line.split(",")[0] for line in lines[1:]] == ["5", "6", "7", "8"]
+
     def test_metrics_rows_scale_with_slices(self, small_synthetic):
         hyper, corpus, _ = small_synthetic
         cfg = TrainConfig(iterations=3, minibatch_size=5, seed=1)

@@ -45,21 +45,6 @@ class TestInferDocEta:
         # prior pulls toward alpha; the likelihood is flat in a 1-topic model
         assert abs(out[0] - alpha[0]) < 0.5
 
-    def test_posterior_mean_flag(self):
-        hyper = Hyperparams(K=3, psi2=0.1)
-        rng = rng_for(0, "pm")
-        phi = rng.standard_normal((3, 20))
-        alpha = rng.standard_normal(3)
-        w = rng.integers(0, 20, size=200).astype(np.int32)
-        point = infer_doc_eta(w, phi, alpha, hyper, SgldSchedule(0.5, 100, 0.8),
-                              40, rng_for(1, "pm"))
-        avg = infer_doc_eta(w, phi, alpha, hyper, SgldSchedule(0.5, 100, 0.8),
-                            40, rng_for(1, "pm"), posterior_mean=True)
-        # the averaged simplex point is a valid distribution and differs
-        # from the single-sample endpoint
-        np.testing.assert_allclose(softmax(avg).sum(), 1.0, atol=1e-12)
-        assert not np.allclose(softmax(avg), softmax(point))
-
     def test_recovers_known_document_parameter(self):
         hyper = Hyperparams(K=3, psi2=0.1)
         tvs = []

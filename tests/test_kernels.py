@@ -5,8 +5,7 @@ from scipy import stats
 from conftest import enumerate_alias_measure
 
 from dtmgibbs.kernels import (SgldSchedule, alias_draw, build_alias_matrix,
-                              build_alias_table,
-                              gaussian_vector, log_sum_exp, pool_draw,
+                              build_alias_table, log_sum_exp, pool_draw,
                               pool_draw_many, refill_pool, rng_for,
                               softmax, step_size)
 
@@ -72,7 +71,7 @@ class TestAliasTable:
     def test_single_outcome(self):
         t = build_alias_table([7.0])
         rng = rng_for(0, "k1")
-        assert all(alias_draw(t, rng) == 0 for _ in range(100))
+        assert np.all(alias_draw(t, rng, 100) == 0)
 
     def test_exact_measure_random_weights(self):
         rng = np.random.default_rng(3)
@@ -190,27 +189,6 @@ class TestSchedule:
             SgldSchedule(0.5, 100, 0.4)
         with pytest.raises(ValueError):
             SgldSchedule(0.5, 100, 1.2)
-
-
-class TestGaussianVector:
-    def test_moments(self):
-        draws = gaussian_vector(np.zeros(100_000), 1.0, rng_for(0, "gv"))
-        assert abs(draws.mean()) < 0.02
-        assert 0.98 <= draws.var() <= 1.02
-
-    def test_degenerate_variance(self):
-        v = np.arange(5, dtype=float)
-        np.testing.assert_allclose(gaussian_vector(v, 1e-30, rng_for(0, "gv2")),
-                                   v, atol=1e-10)
-
-    def test_seeded_repeatability(self):
-        a = gaussian_vector(np.zeros(8), 2.0, rng_for(7, "same"))
-        b = gaussian_vector(np.zeros(8), 2.0, rng_for(7, "same"))
-        np.testing.assert_array_equal(a, b)
-
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            gaussian_vector(np.zeros(3), 0.0, rng_for(0, "bad"))
 
 
 class TestRngStreams:

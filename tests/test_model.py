@@ -5,7 +5,7 @@ from dtmgibbs.corpus import load_corpus
 from dtmgibbs.kernels import rng_for, softmax
 import dtmgibbs.model
 from dtmgibbs.model import (Hyperparams, SliceState, accumulate_counts,
-                            apply_z_update, init_state, load_checkpoint,
+                            init_state, load_checkpoint,
                             read_slice_checkpoint, row_log_norms,
                             checkpoint_path, write_checkpoint)
 
@@ -101,62 +101,6 @@ class TestAccumulateCounts:
             brute[z, w] += 1
         np.testing.assert_array_equal(cs.c_word_topic, brute)
         np.testing.assert_array_equal(cs.c_topic, brute.sum(axis=1))
-
-
-class TestApplyZUpdate:
-    def test_noop_when_same_topic(self, tmp_path):
-        c = make_corpus(tmp_path)
-        st = init_state(c, Hyperparams(K=3), seed=0)
-        sl = st.slices[0]
-        cs = accumulate_counts(sl, range(sl.n_docs))
-        before = cs.c_word_topic.copy()
-        z = int(sl.z[0][0])
-        apply_z_update(sl, cs, 0, 0, z, z)
-        np.testing.assert_array_equal(cs.c_word_topic, before)
-
-    def test_single_update_deltas(self, tmp_path):
-        c = make_corpus(tmp_path, text="1\ta b\n")
-        st = init_state(c, Hyperparams(K=3), seed=0)
-        sl = st.slices[0]
-        cs = accumulate_counts(sl, [0])
-        z_old = int(sl.z[0][0])
-        z_new = (z_old + 1) % 3
-        w = int(sl.tokens[0][0])
-        before_doc = cs.c_doc[0].copy()
-        before_wt = cs.c_word_topic.copy()
-        before_t = cs.c_topic.copy()
-        apply_z_update(sl, cs, 0, 0, z_old, z_new)
-        delta_doc = cs.c_doc[0] - before_doc
-        delta_wt = cs.c_word_topic - before_wt
-        delta_t = cs.c_topic - before_t
-        assert delta_doc[z_old] == -1 and delta_doc[z_new] == 1
-        assert delta_wt[z_old, w] == -1 and delta_wt[z_new, w] == 1
-        assert delta_t[z_old] == -1 and delta_t[z_new] == 1
-        assert np.abs(delta_wt).sum() == 2
-
-    def test_stale_z_old_rejected(self, tmp_path):
-        c = make_corpus(tmp_path)
-        st = init_state(c, Hyperparams(K=3), seed=0)
-        sl = st.slices[0]
-        cs = accumulate_counts(sl, range(sl.n_docs))
-        wrong = (int(sl.z[0][0]) + 1) % 3
-        with pytest.raises(AssertionError):
-            apply_z_update(sl, cs, 0, 0, wrong, 0)
-
-    def test_incremental_equals_recompute(self, tmp_path):
-        rng = np.random.default_rng(7)
-        doc = " ".join(f"w{rng.integers(0, 8)}" for _ in range(60))
-        c = make_corpus(tmp_path, text=f"1\t{doc}\n1\t{doc}\n")
-        k = 5
-        st = init_state(c, Hyperparams(K=k), seed=1)
-        sl = st.slices[0]
-        cs = accumulate_counts(sl, range(sl.n_docs))
-        for _ in range(2000):
-            d = int(rng.integers(0, sl.n_docs))
-            n = int(rng.integers(0, len(sl.tokens[d])))
-            z_new = int(rng.integers(0, k))
-            apply_z_update(sl, cs, d, n, int(sl.z[d][n]), z_new)
-        assert cs.equals(accumulate_counts(sl, range(sl.n_docs)))
 
 
 class TestCheckpoints:

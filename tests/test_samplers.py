@@ -2,17 +2,18 @@ import time
 
 import numpy as np
 import pytest
-from conftest import enumerate_alias_measure
+from conftest import alpha_mean_long_form, enumerate_alias_measure
 from scipy import stats
 
-from dtmgibbs.kernels import log_sum_exp, rng_for, softmax
+from dtmgibbs.kernels import (alias_draw_stacked, build_alias_table,
+                              log_sum_exp, rng_for, softmax)
 from dtmgibbs.model import Hyperparams, SliceState
-from dtmgibbs.samplers import (NeighborContext, alpha_posterior,
-                               alpha_posterior_mean_direct, grad_log_post_eta,
-                               grad_log_post_phi, mh_sample_token,
-                               mh_sweep_document, rebuild_proposals,
-                               sample_alpha, sample_tokens_exact,
-                               sgld_update_eta, sgld_update_phi)
+from dtmgibbs.samplers import (MhProposalState, NeighborContext,
+                               alpha_posterior, grad_log_post_eta,
+                               grad_log_post_phi, mh_sweep_document,
+                               rebuild_proposals, sample_alpha,
+                               sample_tokens_exact, sgld_update_eta,
+                               sgld_update_phi)
 
 
 def central_diff(f, x, h=1e-5):
@@ -51,7 +52,7 @@ class TestAlphaSampler:
             ebar = rng.normal(size=7)
             d_t = int(rng.integers(0, 1000))
             mu, _ = alpha_posterior(nb, ebar, d_t, hyper)
-            mu2 = alpha_posterior_mean_direct(nb, ebar, d_t, hyper)
+            mu2 = alpha_mean_long_form(nb, ebar, d_t, hyper)
             np.testing.assert_allclose(mu, mu2, atol=1e-12)
 
     def test_flat_prior_limit(self):
@@ -238,28 +239,27 @@ class TestSgldUpdates:
 class TestProposals:
     def test_doc_table_weights_match_softmax(self):
         sl = toy_slice(6, 10, 2, 8, seed=1, eta_scale=2.0)
-        props = rebuild_proposals(sl, [0, 1], 0, rng_for(0, "p"))
+        props = rebuild_proposals(sl, [0, 1], rng_for(0, "p"))
         for d in (0, 1):
             np.testing.assert_allclose(enumerate_alias_measure(props.doc_tables[d]),
                                        softmax(sl.eta[d]), atol=1e-12)
 
     def test_word_tables_match_softmax_columns(self):
         sl = toy_slice(4, 7, 1, 5, seed=2, phi_scale=1.5)
-        props = rebuild_proposals(sl, [0], 3, rng_for(0, "p2"))
-        assert props.staleness_epoch == 3
+        props = rebuild_proposals(sl, [0], rng_for(0, "p2"))
         for w in range(7):
-            t = props.word_tables[w]
+            prob, alias = props.word_prob[w], props.word_alias[w]
             measure = np.zeros(4)
             for j in range(4):
-                measure[j] += t.prob[j] / 4
-                measure[t.alias[j]] += (1 - t.prob[j]) / 4
+                measure[j] += prob[j] / 4
+                measure[alias[j]] += (1 - prob[j]) / 4
             np.testing.assert_allclose(measure, softmax(sl.phi[:, w]), atol=1e-12)
 
     def test_uniform_eta_uniform_draws(self):
         sl = toy_slice(5, 4, 1, 3, seed=3)
         sl.eta[:] = 0.0
         sl.refresh_eta_norm()
-        props = rebuild_proposals(sl, [0], 0, rng_for(0, "u"))
+        props = rebuild_proposals(sl, [0], rng_for(0, "u"))
         from dtmgibbs.kernels import pool_draw
         rng = rng_for(1, "draws")
         draws = np.array([pool_draw(props.doc_tables[0], rng) for _ in range(50_000)])
@@ -270,12 +270,10 @@ class TestProposals:
         sl = toy_slice(2, 1, 1, 3, seed=4)
         sl.phi[:, 0] = [np.log(3.0), 0.0]
         sl.refresh_phi_norm()
-        props = rebuild_proposals(sl, [0], 0, rng_for(0, "wt"))
-        from dtmgibbs.kernels import pool_draw
-        rng = rng_for(1, "wd")
-        draws = np.array([pool_draw(props.word_tables[0], rng) for _ in range(100_000)])
+        props = rebuild_proposals(sl, [0], rng_for(0, "wt"))
+        draws = alias_draw_stacked(props.word_prob, props.word_alias,
+                                   np.zeros(100_000, dtype=np.int64), rng_for(1, "wd"))
         assert abs((draws == 0).mean() - 0.75) < 0.01
-
 
     def test_one_stacked_build_per_table_kind(self, monkeypatch):
         import dtmgibbs.samplers as samplers
@@ -294,68 +292,74 @@ class TestProposals:
         monkeypatch.setattr(samplers, "refill_pool", counting_refill)
         sl = toy_slice(5, 30, 8, 10, seed=10)
         minibatch = [6, 1, 3]
-        props = rebuild_proposals(sl, minibatch, 0, rng_for(0, "count"))
+        props = rebuild_proposals(sl, minibatch, rng_for(0, "count"))
         assert built == [(3, 5), (30, 5)]
         assert refilled == [props.doc_tables[d] for d in minibatch]
         assert all(props.doc_tables[d].pool_size() == 5 for d in minibatch)
 
     def test_word_tables_are_views_without_pools(self):
+        # one stacked (V, K) pair whose rows are the scalar builder's
+        # tables of the softmax columns; no per-word pool objects
         sl = toy_slice(4, 6, 1, 5, seed=11)
-        props = rebuild_proposals(sl, [0], 0, rng_for(0, "views"))
-        tables = props.word_tables
-        assert tables is props.word_tables and len(tables) == 6
-        for w, t in enumerate(tables):
-            assert np.shares_memory(t.prob, props.word_prob)
-            np.testing.assert_array_equal(t.prob, props.word_prob[w])
-            np.testing.assert_array_equal(t.alias, props.word_alias[w])
-            assert t.pool_size() == 0
+        props = rebuild_proposals(sl, [0], rng_for(0, "views"))
+        assert props.word_prob.shape == props.word_alias.shape == (6, 4)
+        weights = np.exp(sl.phi - sl.phi.max(axis=0))
+        for w in range(6):
+            table = build_alias_table(weights[:, w])
+            np.testing.assert_array_equal(props.word_prob[w], table.prob)
+            np.testing.assert_array_equal(props.word_alias[w], table.alias)
+        assert set(MhProposalState.__slots__) == {"doc_tables", "word_prob", "word_alias"}
+
+
+def force_proposals(props, d: int, doc_topic: int, word_topic: int, n: int) -> None:
+    """Make document d's next n doc proposals and every word proposal fixed."""
+    table = props.doc_tables[d]
+    table._pool = np.full(n, doc_topic, dtype=np.int64)
+    table._pool_pos = 0
+    props.word_prob[:] = 0.0          # the coin always picks the alias
+    props.word_alias[:] = word_topic
 
 
 class TestTokenSampler:
     def test_self_proposal_always_accepted(self):
         sl = toy_slice(3, 4, 1, 5, seed=5)
-        props = rebuild_proposals(sl, [0], 0, rng_for(0, "sp"))
-        for table in [props.doc_tables[0]] + props.word_tables:
-            table._pool = np.full(64, 1, dtype=np.int64)  # force proposal = current
-            table._pool_pos = 0
+        sl.z[0][:] = 1
+        props = rebuild_proposals(sl, [0], rng_for(0, "sp"))
         rng = rng_for(1, "sp")
         for _ in range(50):
-            assert mh_sample_token(0, 0, int(sl.tokens[0][0]), 1, sl, props, rng) == 1
+            force_proposals(props, 0, 1, 1, 5)    # proposal = current
+            np.testing.assert_array_equal(mh_sweep_document(sl, 0, props, rng), 1)
 
     def test_word_acceptance_rate_exp_minus_one(self):
         # proposal fixed at topic 1 with eta gap -1: acceptance must be e^-1
         k, v = 2, 1
-        tokens = [np.zeros(1, dtype=np.int32)]
-        z = [np.zeros(1, dtype=np.int32)]
+        trials = 200_000
+        tokens = [np.zeros(trials, dtype=np.int32)]
+        z = [np.zeros(trials, dtype=np.int32)]
         eta = np.array([[0.0, -1.0]])
         phi = np.zeros((k, v))
         sl = SliceState(1, tokens, np.zeros(k), phi, eta, z)
-        props = rebuild_proposals(sl, [0], 0, rng_for(0, "ar"))
-        rng = rng_for(1, "ar")
-        accepted = 0
-        trials = 200_000
-        for _ in range(trials):
-            props.doc_tables[0]._pool = np.zeros(4, dtype=np.int64)  # doc step: s == z
-            props.doc_tables[0]._pool_pos = 0
-            props.word_tables[0]._pool = np.ones(4, dtype=np.int64)  # word step: s = 1
-            props.word_tables[0]._pool_pos = 0
-            accepted += mh_sample_token(0, 0, 0, 0, sl, props, rng) == 1
-        assert abs(accepted / trials - np.exp(-1)) < 0.005
+        props = rebuild_proposals(sl, [0], rng_for(0, "ar"))
+        force_proposals(props, 0, 0, 1, trials)   # doc step: s == z; word step: s = 1
+        out = mh_sweep_document(sl, 0, props, rng_for(1, "ar"))
+        assert abs((out == 1).mean() - np.exp(-1)) < 0.005
 
     def test_chain_reaches_exact_conditional(self):
-        # frozen parameters: stationary law is softmax(eta + phi[:, w])
+        # frozen parameters and one set of tables: the stationary law of
+        # each token's cyclic chain is softmax(eta + phi[:, w])
         k, v, w = 3, 5, 2
-        rng0 = np.random.default_rng(6)
-        sl = toy_slice(k, v, 1, 1, seed=6, eta_scale=1.0, phi_scale=1.0)
-        sl.tokens[0][0] = w
+        n = 1000
+        sl = toy_slice(k, v, 1, n, seed=6, eta_scale=1.0, phi_scale=1.0)
+        sl.tokens[0][:] = w
+        sl.z[0][:] = 0
         target = softmax(sl.eta[0] + sl.phi[:, w])
         rng = rng_for(2, "chain")
-        props = rebuild_proposals(sl, [0], 0, rng)
+        props = rebuild_proposals(sl, [0], rng)
         counts = np.zeros(k)
-        z = 0
-        for _ in range(200_000):
-            z = mh_sample_token(0, 0, w, z, sl, props, rng)
-            counts[z] += 1
+        for sweep in range(210):
+            sl.z[0] = mh_sweep_document(sl, 0, props, rng)
+            if sweep >= 10:
+                counts += np.bincount(sl.z[0], minlength=k)
         tv = 0.5 * np.abs(counts / counts.sum() - target).sum()
         assert tv < 0.02, f"TV {tv:.4f} vs target {target}"
 
@@ -373,7 +377,7 @@ class TestTokenSampler:
         rng = rng_for(3, "sweep")
         counts = np.zeros(k)
         for cycle in range(60):
-            props = rebuild_proposals(sl, [0], cycle, rng)
+            props = rebuild_proposals(sl, [0], rng)
             sl.z[0] = mh_sweep_document(sl, 0, props, rng)
             if cycle >= 20:
                 counts += np.bincount(sl.z[0], minlength=k)
@@ -395,6 +399,6 @@ class TestTokenSampler:
         # log-space clamp: acceptance paths never exceed one by construction;
         # verify the chain can only ever produce valid topics
         sl = toy_slice(4, 5, 2, 50, seed=9, eta_scale=30.0, phi_scale=30.0)
-        props = rebuild_proposals(sl, [0, 1], 0, rng_for(0, "hot"))
+        props = rebuild_proposals(sl, [0, 1], rng_for(0, "hot"))
         out = mh_sweep_document(sl, 0, props, rng_for(5, "hot"))
         assert np.all((0 <= out) & (out < 4))
