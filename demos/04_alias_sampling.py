@@ -42,7 +42,7 @@ for k in (25, 100, 400):
     state = init_state(corpus, hyper, seed=1).slices[0]
     n_tokens = sum(len(w) for w in state.tokens)
 
-    props = rebuild_proposals(state, range(state.n_docs), rng_for(2, "t", k))
+    props = rebuild_proposals(state, range(state.n_docs))
     rng = rng_for(3, "mh", k)
     t0 = time.perf_counter()
     for d in range(state.n_docs):

@@ -16,8 +16,9 @@ from .model import (CountSet, Hyperparams, ModelState, SliceState,
                     accumulate_counts, init_state, load_checkpoint,
                     write_checkpoint)
 from .samplers import (NeighborContext, grad_log_post_eta, grad_log_post_phi,
-                       mh_sweep_document, rebuild_proposals, sample_alpha,
-                       sample_tokens_exact, sgld_update_eta, sgld_update_phi)
+                       mh_sweep, mh_sweep_document, rebuild_proposals,
+                       sample_alpha, sample_tokens_exact, sgld_update_eta,
+                       sgld_update_phi)
 from .synthetic import generate_synthetic
 
 __version__ = "0.1.0"

@@ -79,6 +79,17 @@ def _positive(text: str) -> float:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise ValueError("must lie in (0, 1)")
+    return value
+
+
+def _fraction_or_zero(text: str) -> float:
+    return 0.0 if float(text) == 0 else _fraction(text)
+
+
 _DEFAULTS = {
     "seed": "0",
     "topics": "50",
@@ -168,7 +179,17 @@ def _hyper_and_config(settings):
     return hyper, cfg
 
 
-def _load_split(settings):
+def _split_config(settings):
+    """(test_fraction, heldout_fraction, split_seed), or None when
+    test_fraction is 0 and nothing is held out."""
+    test_fraction = _setting(settings, "test_fraction", _fraction_or_zero)
+    if test_fraction == 0:
+        return None
+    return (test_fraction, _setting(settings, "heldout_fraction", _fraction),
+            _setting(settings, "split_seed", int))
+
+
+def _load_split(settings, split_cfg):
     from .corpus import load_corpus, split_holdout
     path = settings.get("corpus")
     if not path:
@@ -176,12 +197,9 @@ def _load_split(settings):
     if not Path(path).exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
     corpus = load_corpus(path, settings["format"])
-    frac = float(settings["test_fraction"])
-    if frac > 0:
-        split = split_holdout(corpus, frac, float(settings["heldout_fraction"]),
-                              int(settings["split_seed"]))
-        return corpus, split
-    return corpus, None
+    if split_cfg is None:
+        return corpus, None
+    return corpus, split_holdout(corpus, *split_cfg)
 
 
 def cmd_train(args) -> int:
@@ -191,8 +209,9 @@ def cmd_train(args) -> int:
     settings = resolve_settings(args)
     out = Path(settings.get("out", "."))
     hyper, cfg = _hyper_and_config(settings)
+    split_cfg = _split_config(settings)
     write_manifest(out, settings)
-    corpus, split = _load_split(settings)
+    corpus, split = _load_split(settings, split_cfg)
     train_corpus = split.train if split is not None else corpus
     cfg = replace(cfg, checkpoint_dir=str(out / "checkpoints"),
                   metrics_path=str(out / "metrics.csv"))
@@ -207,16 +226,17 @@ def cmd_eval(args) -> int:
     from .model import load_checkpoint
     settings = resolve_settings(args)
     out = Path(settings.get("out", "."))
-    hyper, _ = _hyper_and_config(settings)
-    write_manifest(out, settings)
-    corpus, split = _load_split(settings)
-    if split is None:
+    hyper, cfg = _hyper_and_config(settings)
+    split_cfg = _split_config(settings)
+    if split_cfg is None:
         raise ConfigError("eval needs test_fraction > 0")
+    eval_cfg = EvalConfig(inner_steps=_setting(settings, "inner_steps", int, 0),
+                          seed=cfg.seed)
+    write_manifest(out, settings)
+    _, split = _load_split(settings, split_cfg)
     ckpt = settings.get("checkpoint") or str(out / "checkpoints")
     model, _, _ = load_checkpoint(ckpt, split.train, hyper)
-    report = perplexity(split, model,
-                        EvalConfig(inner_steps=int(settings["inner_steps"]),
-                                   seed=int(settings["seed"])))
+    report = perplexity(split, model, eval_cfg)
     print(report)
     report.to_csv(out / "perplexity.csv")
     return EXIT_OK
@@ -228,8 +248,9 @@ def cmd_trends(args) -> int:
     settings = resolve_settings(args)
     out = Path(settings.get("out", "."))
     hyper, _ = _hyper_and_config(settings)
+    split_cfg = _split_config(settings)
     write_manifest(out, settings)
-    corpus, split = _load_split(settings)
+    corpus, split = _load_split(settings, split_cfg)
     train_corpus = split.train if split is not None else corpus
     ckpt = settings.get("checkpoint") or str(out / "checkpoints")
     model, _, _ = load_checkpoint(ckpt, train_corpus, hyper)
@@ -276,11 +297,12 @@ def cmd_worker(args) -> int:
     if not settings.get("topology") or settings.get("worker_id") is None:
         raise ConfigError("worker needs --topology and --worker-id")
     topo = parse_topology(settings["topology"])
-    worker_id = int(settings["worker_id"])
+    worker_id = _setting(settings, "worker_id", int)
     if worker_id not in topo.workers:
         raise ProtocolError(f"worker {worker_id} not present in topology")
+    split_cfg = _split_config(settings)
     write_manifest(out, settings)
-    corpus, split = _load_split(settings)
+    corpus, split = _load_split(settings, split_cfg)
     train_corpus = split.train if split is not None else corpus
     assignment = topo.assignment()
     owned = assignment[worker_id]

@@ -2,9 +2,12 @@
 block updates (eta, phi and z, each against a frozen snapshot), then
 the exact alpha draw.
 
-Every random draw comes from a stream keyed by logical coordinates
-(seed, block, slice, iteration, unit), so the result is identical for
-any worker layout and for a resumed run.
+Each block is one numpy expression over the whole mini-batch (all its
+documents, all K topics, all its tokens) and draws from one stream
+keyed by logical coordinates (seed, block, slice, iteration).  A
+slice-iteration therefore builds five streams (minibatch, eta, phi, z,
+alpha) whatever the mini-batch size or K, and the result is identical
+for any worker layout and for a resumed run.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import numpy as np
 from .corpus import Corpus
 from .kernels import SgldSchedule, rng_for
 from .model import (CountSet, Hyperparams, ModelState, SliceState,
-                    accumulate_counts, init_state, write_checkpoint)
+                    accumulate_counts, gather_docs, init_state, split_flat,
+                    write_checkpoint)
 from .samplers import (NeighborContext, grad_log_post_eta, grad_log_post_phi,
-                       mh_sweep_document, rebuild_proposals, sample_alpha,
+                       mh_sweep, rebuild_proposals, sample_alpha,
                        sgld_update_eta, sgld_update_phi)
 
 METRICS_FIELDS = ("iteration", "slice", "ms_counts", "ms_eta", "ms_phi",
@@ -96,6 +100,9 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     snapshot = IterationSnapshot(state=prev,
                                  counts=accumulate_counts(prev, minibatch),
                                  minibatch=minibatch)
+    # the mini-batch's tokens, flat, each tagged with its row in the batch
+    w, z, lengths = gather_docs(prev, minibatch)
+    rows = np.repeat(np.arange(minibatch.shape[0]), lengths)
     ms_counts = (time.perf_counter() - t0) * 1e3
     if cfg.debug_checks:
         snapshot.counts.validate(prev.tokens)
@@ -107,49 +114,43 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     eps_phi = cfg.schedule_phi.step(iteration)
     batch_scale = (d_t / minibatch.shape[0]) if minibatch.shape[0] else 0.0
 
-    eta_next = snap.eta.copy()
-    phi_next = np.empty_like(snap.phi)
-    z_next = list(snap.z)
-
     t0 = time.perf_counter()
+    eta_mb = snap.eta[minibatch]
     try:
-        for d in minibatch:
-            g = grad_log_post_eta(snap.eta[d], snap.alpha, counts.c_doc[d],
-                                  len(snap.tokens[d]), hyper.psi2,
-                                  snap.eta_log_norm[d])
-            eta_next[d] = sgld_update_eta(snap.eta[d], g, eps_eta,
-                                          rng_for(seed, "eta", t, iteration, d))
+        g = grad_log_post_eta(eta_mb, snap.alpha, counts.c_doc, lengths,
+                              hyper.psi2, snap.eta_log_norm[minibatch])
+        eta_mb_next = sgld_update_eta(eta_mb, g, eps_eta,
+                                      rng_for(seed, "eta", t, iteration))
     except FloatingPointError as exc:
         raise NumericError("eta", t, iteration) from exc
     ms_eta = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     try:
-        for k in range(hyper.K):
-            g = grad_log_post_phi(snap.phi[k], neighbors_phi.row(k),
-                                  counts.c_word_topic[k], int(counts.c_topic[k]),
-                                  hyper.beta2, batch_scale, snap.phi_log_norm[k])
-            phi_next[k] = sgld_update_phi(snap.phi[k], g, eps_phi,
-                                          rng_for(seed, "phi", t, iteration, k))
+        g = grad_log_post_phi(snap.phi, neighbors_phi, counts.c_word_topic,
+                              counts.c_topic, hyper.beta2, batch_scale,
+                              snap.phi_log_norm)
+        phi_next = sgld_update_phi(snap.phi, g, eps_phi,
+                                   rng_for(seed, "phi", t, iteration))
     except FloatingPointError as exc:
         raise NumericError("phi", t, iteration) from exc
     ms_phi = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    proposals = rebuild_proposals(snap, minibatch, rng_for(seed, "tables", t, iteration))
-    for d in minibatch:
-        z_next[d] = mh_sweep_document(snap, d, proposals,
-                                      rng_for(seed, "z", t, iteration, d))
+    proposals = rebuild_proposals(snap, minibatch)
+    z_mb = mh_sweep(eta_mb, snap.phi, w, z, rows, proposals,
+                    rng_for(seed, "z", t, iteration))
+    z_rows = split_flat(z_mb, np.cumsum(lengths))
     ms_z = (time.perf_counter() - t0) * 1e3
 
-    if not np.all(np.isfinite(eta_next[minibatch])):  # the only rows written
+    if not np.all(np.isfinite(eta_mb_next)):  # the only rows written
         raise NumericError("eta", t, iteration)
     if not np.all(np.isfinite(phi_next)):
         raise NumericError("phi", t, iteration)
 
     t0 = time.perf_counter()
     if minibatch.shape[0]:
-        eta_bar = eta_next[minibatch].mean(axis=0)
+        eta_bar = eta_mb_next.mean(axis=0)
     else:
         eta_bar = np.zeros(hyper.K)
     # the likelihood precision uses the true D_t; eta_bar is the batch estimate
@@ -159,12 +160,14 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
     if not np.all(np.isfinite(alpha_next)):
         raise NumericError("alpha", t, iteration)
 
-    # only the mini-batch rows of eta moved: refresh just their normalizers
-    nxt = snap.successor(alpha_next, phi_next, eta_next, z_next, minibatch)
     if cfg.debug_checks:
         recheck = accumulate_counts(snap, minibatch)
         if not recheck.equals(counts):
             raise AssertionError("snapshot counts were mutated during the iteration")
+    # only the mini-batch rows of eta and z moved: hand them to the next
+    # state, which refreshes just their normalizers
+    nxt = snap.successor(alpha_next, phi_next, minibatch, eta_mb_next, z_rows)
+    if cfg.debug_checks:
         nxt.validate_normalizers()
 
     lj = log_joint_proxy(nxt, neighbors_alpha, neighbors_phi, minibatch, hyper)
@@ -192,18 +195,17 @@ def log_joint_proxy(state: SliceState, neighbors_alpha: NeighborContext,
     for nb in (neighbors_phi.left, neighbors_phi.right):
         if nb is not None:
             lj -= float(((state.phi - nb) ** 2).sum()) / (2 * hyper.beta2)
-    mb = np.asarray(minibatch, dtype=np.int64)
+    mb = np.asarray(minibatch, dtype=np.int64).reshape(-1)
     if mb.shape[0] == 0:
         return lj
     scale = state.n_docs / mb.shape[0]
-    diff = state.eta[mb] - state.alpha[None, :]
+    eta = state.eta[mb]
+    diff = eta - state.alpha[None, :]
     lj -= scale * float((diff ** 2).sum()) / (2 * hyper.psi2)
-    tok = 0.0
-    for d in mb:
-        z = state.z[d]
-        w = state.tokens[d]
-        tok += float((state.eta[d][z] - state.eta_log_norm[d]).sum())
-        tok += float((state.phi[z, w] - state.phi_log_norm[z]).sum())
+    w, z, lengths = gather_docs(state, mb)
+    rows = np.repeat(np.arange(mb.shape[0]), lengths)
+    tok = float((eta[rows, z] - state.eta_log_norm[mb][rows]).sum())
+    tok += float((state.phi[z, w] - state.phi_log_norm[z]).sum())
     return lj + scale * tok
 
 

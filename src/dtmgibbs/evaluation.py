@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import HoldoutSplit, Vocabulary
-from .kernels import (SgldSchedule, build_alias_table, refill_pool, rng_for,
-                      softmax, softmax_rows)
-from .model import Hyperparams, ModelState, SliceState
+from .kernels import (SgldSchedule, build_alias_table, rng_for, softmax,
+                      softmax_rows)
+from .kernels import refill_pool  # noqa: F401 - unused here; perfbench's tracer wraps it
+from .model import Hyperparams, ModelState, SliceState, row_log_norms
 from .samplers import (MhProposalState, grad_log_post_eta, mh_sweep_document,
                        sgld_update_eta)
+
+_ONE_DOC = np.zeros(1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -65,13 +68,16 @@ class TopicTrend:
 
 def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,
                   hyper: Hyperparams, schedule: SgldSchedule, steps: int,
-                  rng: np.random.Generator, word_tables=None) -> np.ndarray:
+                  rng: np.random.Generator, word_tables=None,
+                  phi_log_norm=None) -> np.ndarray:
     """Infer a document parameter from observed tokens with phi, alpha fixed.
 
     Runs the token-resampling + Langevin sub-loop for ``steps``
     iterations with the step-size schedule restarted at 0 (a cold
     document needs the early large steps).  ``steps == 0`` returns the
-    initialization eta = alpha.
+    initialization eta = alpha.  ``word_tables`` and ``phi_log_norm``
+    depend on phi alone; a caller scoring many documents against one
+    phi passes them in so they are computed once.
     """
     observed = np.asarray(observed_tokens, dtype=np.int32)
     if observed.size == 0:
@@ -81,25 +87,29 @@ def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,
         return eta
     if word_tables is None:
         word_tables = build_word_tables(phi_t)
+    if phi_log_norm is None:
+        phi_log_norm = row_log_norms(phi_t)
     word_prob, word_alias = word_tables
     n_d = observed.shape[0]
     z = rng.integers(0, hyper.K, size=n_d).astype(np.int32)
 
-    # one-document state reusing the sweep machinery with phi frozen
-    doc = SliceState(0, [observed], alpha_t.copy(), phi_t, eta[None, :].copy(), [z])
+    # one-document state, phi frozen, swept by the training token sampler;
+    # the loop writes its eta row, normalizer and z list in place
+    doc = SliceState(0, [observed], alpha_t, phi_t, eta[None, :], [z],
+                     phi_log_norm=phi_log_norm)
+    norms, zs = doc.eta_log_norm, doc.z
     for i in range(steps):
-        table = build_alias_table(np.exp(doc.eta[0] - doc.eta[0].max()))
-        refill_pool(table, rng)
-        proposals = MhProposalState({0: table}, word_prob, word_alias)
-        doc.z[0] = mh_sweep_document(doc, 0, proposals, rng)
-        c_doc = np.bincount(doc.z[0], minlength=hyper.K)
-        g = grad_log_post_eta(doc.eta[0], alpha_t, c_doc, n_d, hyper.psi2,
-                              doc.eta_log_norm[0])
-        doc.eta[0] = sgld_update_eta(doc.eta[0], g, schedule.step(i), rng)
+        table = build_alias_table(np.exp(eta - eta.max()))
+        proposals = MhProposalState(_ONE_DOC, table.prob[None], table.alias[None],
+                                    word_prob, word_alias)
+        zs[0] = mh_sweep_document(doc, 0, proposals, rng)
+        c_doc = np.bincount(zs[0], minlength=hyper.K)
+        g = grad_log_post_eta(eta, alpha_t, c_doc, n_d, hyper.psi2, norms[0])
+        eta[:] = sgld_update_eta(eta, g, schedule.step(i), rng)
         # one row: the scalar form of row_log_norms, cheaper at this size
-        m = doc.eta[0].max()
-        doc.eta_log_norm[0] = m + np.log(np.exp(doc.eta[0] - m).sum())
-    return doc.eta[0]
+        m = eta.max()
+        norms[0] = m + np.log(np.exp(eta - m).sum())
+    return eta
 
 
 def build_word_tables(phi_t: np.ndarray):
@@ -136,7 +146,8 @@ def perplexity(split: HoldoutSplit, model: ModelState, eval_cfg: EvalConfig) -> 
             rng = rng_for(eval_cfg.seed, "eval", t, j)
             eta_hat = infer_doc_eta(td.observed, sl.phi, sl.alpha, model.hyper,
                                     eval_cfg.schedule, eval_cfg.inner_steps, rng,
-                                    word_tables=word_tables)
+                                    word_tables=word_tables,
+                                    phi_log_norm=sl.phi_log_norm)
             mix = softmax(eta_hat) @ soft_phi       # (V,)
             ll += float(np.log(mix[td.heldout]).sum())
             n += int(td.heldout.size)

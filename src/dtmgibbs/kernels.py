@@ -36,7 +36,7 @@ def rng_for(master_seed: int, *path) -> np.random.Generator:
     identical streams no matter which process asks, which is what makes
     layout-invariant and resumable runs possible: every consumer derives
     its stream from logical coordinates such as
-    ``(slice, block, iteration, document)``, never from scheduling order.
+    ``(block, slice, iteration)``, never from scheduling order.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<q", int(master_seed)))
@@ -86,10 +86,10 @@ class AliasTable:
     outcome the column indexes; each column covers at most two outcomes.
     A draw costs two uniforms: pick a column, then a weighted coin.
 
-    The table also carries a FIFO pool of pre-drawn samples so hot loops
-    can take stale draws one at a time; a pool holds at most K entries
-    and is refilled in bulk.  The table (and its pool cursor) must be
-    owned by one thread or synchronized externally.
+    The table also carries a FIFO pool of pre-drawn samples (at most K,
+    refilled in bulk) for ``pool_draw``.  No sampler draws from pools
+    any more; they stay while perfbench's tracer wraps their functions
+    for its ``kernels.pool_*`` metrics.
     """
 
     __slots__ = ("prob", "alias", "_pool", "_pool_pos")
@@ -215,7 +215,8 @@ def alias_draw_stacked(prob: np.ndarray, alias: np.ndarray, rows: np.ndarray,
     n = rows.shape[0]
     u = rng.random((n, 2))
     j = np.minimum((u[:, 0] * k).astype(np.int64), k - 1)
-    return np.where(u[:, 1] < prob[rows, j], j, alias[rows, j])
+    flat = rows * k + j          # one flat gather beats a 2-D fancy index
+    return np.where(u[:, 1] < prob.ravel()[flat], j, alias.ravel()[flat])
 
 
 def refill_pool(table: AliasTable, rng: np.random.Generator) -> AliasTable:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,38 +46,47 @@ class Hyperparams:
 class CountSet:
     """Topic-count tallies over one mini-batch of documents.
 
-    c_doc[d][k]        times topic k appears in document d (minibatch docs only)
+    docs               the tallied document ids, in mini-batch order
+    c_doc[i, k]        times topic k appears in document docs[i]
     c_word_topic[k,w]  times word w carries topic k
     c_topic[k]         total tokens assigned to topic k
     """
 
-    __slots__ = ("c_doc", "c_word_topic", "c_topic", "n_tokens")
+    __slots__ = ("docs", "c_doc", "c_word_topic", "c_topic", "n_tokens")
 
     def __init__(self, k: int, v: int):
-        self.c_doc: dict[int, np.ndarray] = {}
+        self.docs = np.empty(0, dtype=np.int64)
+        self.c_doc = np.zeros((0, k), dtype=np.int64)
         self.c_word_topic = np.zeros((k, v), dtype=np.int32)
         self.c_topic = np.zeros(k, dtype=np.int64)
         self.n_tokens = 0
 
     def validate(self, tokens=None) -> None:
         """Assert the conservation invariants; cheap, used in debug runs."""
-        if np.any(self.c_word_topic < 0) or np.any(self.c_topic < 0):
+        if (np.any(self.c_doc < 0) or np.any(self.c_word_topic < 0)
+                or np.any(self.c_topic < 0)):
             raise AssertionError("negative counts")
+        if self.c_doc.shape != (self.docs.shape[0], self.c_topic.shape[0]):
+            raise AssertionError("c_doc does not have one row per document")
         if not np.array_equal(self.c_word_topic.sum(axis=1), self.c_topic):
             raise AssertionError("c_word_topic rows do not sum to c_topic")
         if int(self.c_topic.sum()) != self.n_tokens:
             raise AssertionError("c_topic does not sum to n_tokens")
+        if int(self.c_doc.sum()) != self.n_tokens:
+            raise AssertionError("c_doc does not sum to n_tokens")
         if tokens is not None:
-            for d, cd in self.c_doc.items():
-                if int(cd.sum()) != len(tokens[d]):
-                    raise AssertionError(f"c_doc[{d}] does not sum to doc length")
+            lengths = np.array([len(tokens[d]) for d in self.docs], dtype=np.int64)
+            bad = np.flatnonzero(self.c_doc.sum(axis=1) != lengths)
+            if bad.size:
+                raise AssertionError(f"c_doc row of doc {int(self.docs[bad[0]])} "
+                                     "does not sum to doc length")
 
     def equals(self, other: "CountSet") -> bool:
         return (self.n_tokens == other.n_tokens
                 and np.array_equal(self.c_word_topic, other.c_word_topic)
                 and np.array_equal(self.c_topic, other.c_topic)
-                and set(self.c_doc) == set(other.c_doc)
-                and all(np.array_equal(self.c_doc[d], other.c_doc[d]) for d in self.c_doc))
+                and np.array_equal(self.docs, other.docs)
+                and np.array_equal(self.c_doc, other.c_doc))
 
 
 def row_log_norms(x: np.ndarray) -> np.ndarray:
@@ -109,45 +119,100 @@ class SliceState:
 
     Keeps the log-normalizers of eta rows and phi rows cached; the
     gradient and likelihood code reads them instead of recomputing
-    log-sum-exp per use.  Writers must call the refresh helpers.
-    ``successor`` builds the next iteration's state from this one and
-    refreshes only the eta rows that changed (plus every phi row), so
-    a training iteration never touches the normalizers of documents
-    outside its mini-batch.
+    log-sum-exp per use.  Writers must call the refresh helpers.  Pass
+    ``phi_log_norm`` when the phi normalizers are already known (a
+    frozen phi scored document by document) to skip their K*V
+    exponentials.
+
+    ``successor`` builds the next iteration's state in O(mini-batch):
+    it hands this state's eta, eta normalizers and z list to the
+    successor, which writes its new rows there, and keeps only the rows
+    they replaced.  This state stays readable: its first read of
+    ``eta``, ``eta_log_norm`` or ``z`` afterwards copies its values back
+    out (O(D_t), once), and a successor that is itself advanced first
+    makes such a predecessor copy.  A trainer that drops each state once
+    it has the next one never pays for a copy.  Write into the arrays of
+    the newest state only, and read a state's arrays from the state
+    again after advancing it: an array held from before is the
+    successor's now.
     """
 
-    __slots__ = ("slice_index", "tokens", "alpha", "phi", "eta", "z",
-                 "eta_log_norm", "phi_log_norm")
+    __slots__ = ("slice_index", "tokens", "alpha", "phi", "phi_log_norm",
+                 "_eta", "_eta_log_norm", "_z", "_handed", "_before", "__weakref__")
 
-    def __init__(self, slice_index: int, tokens, alpha, phi, eta, z):
+    def __init__(self, slice_index: int, tokens, alpha, phi, eta, z,
+                 phi_log_norm=None):
         self.slice_index = slice_index
         self.tokens = tokens          # list of int32 arrays, shared with the corpus
         self.alpha = alpha            # (K,)
         self.phi = phi                # (K, V)
-        self.eta = eta                # (D_t, K)
-        self.z = z                    # list of int32 arrays, aligned with tokens
-        self.eta_log_norm = np.empty(eta.shape[0])
-        self.phi_log_norm = np.empty(phi.shape[0])
+        self._eta = eta               # (D_t, K)
+        self._z = z                   # list of int32 arrays, aligned with tokens
+        self._eta_log_norm = np.empty(eta.shape[0])
+        self._handed = None           # (successor, docs, replaced eta, norms, z)
+        self._before = None           # weakref to a predecessor reading our arrays
         self.refresh_eta_norm()
-        self.refresh_phi_norm()
+        if phi_log_norm is None:
+            self.phi_log_norm = np.empty(phi.shape[0])
+            self.refresh_phi_norm()
+        else:
+            self.phi_log_norm = phi_log_norm
 
-    def successor(self, alpha, phi, eta, z, changed_docs) -> "SliceState":
-        """The same slice with new parameters, where ``eta`` differs from
-        this state's only in the rows ``changed_docs``.
+    @property
+    def eta(self) -> np.ndarray:
+        return self._own()._eta
 
-        The other eta normalizers are copied, not recomputed; the result
-        equals ``SliceState(...)`` on the same arrays bit for bit.
+    @property
+    def eta_log_norm(self) -> np.ndarray:
+        return self._own()._eta_log_norm
+
+    @property
+    def z(self) -> list:
+        return self._own()._z
+
+    def _own(self) -> "SliceState":
+        """Take back a private copy of the arrays handed to the successor."""
+        if self._handed is not None:
+            nxt, docs, eta_rows, norm_rows, z_rows = self._handed
+            eta, norms, z = nxt._eta.copy(), nxt._eta_log_norm.copy(), list(nxt._z)
+            eta[docs] = eta_rows
+            norms[docs] = norm_rows
+            for d, zd in zip(docs.tolist(), z_rows):
+                z[d] = zd
+            self._eta, self._eta_log_norm, self._z = eta, norms, z
+            self._handed = None
+            nxt._before = None
+        return self
+
+    def successor(self, alpha, phi, changed_docs, eta_rows, z_rows) -> "SliceState":
+        """The same slice one iteration on: new ``alpha`` and ``phi``, and
+        for the documents ``changed_docs`` the new eta rows ``eta_rows``
+        and z arrays ``z_rows``; every other document is unchanged.
+
+        Only the changed eta normalizers are recomputed; the result
+        equals ``SliceState(...)`` on the same values bit for bit.
         """
+        self._own()
+        before = self._before() if self._before is not None else None
+        if before is not None:
+            before._own()
+        docs = np.asarray(changed_docs, dtype=np.intp).reshape(-1)
+        eta, norms, z = self._eta, self._eta_log_norm, self._z
         nxt = SliceState.__new__(SliceState)
+        self._handed = (nxt, docs, eta[docs], norms[docs], [z[d] for d in docs.tolist()])
+        self._eta = self._eta_log_norm = self._z = None
+        eta[docs] = eta_rows
+        for d, zd in zip(docs.tolist(), z_rows):
+            z[d] = zd
         nxt.slice_index = self.slice_index
         nxt.tokens = self.tokens
         nxt.alpha = alpha
         nxt.phi = phi
-        nxt.eta = eta
-        nxt.z = z
-        nxt.eta_log_norm = self.eta_log_norm.copy()
+        nxt._eta, nxt._eta_log_norm, nxt._z = eta, norms, z
+        nxt._handed = None
+        nxt._before = weakref.ref(self)
         nxt.phi_log_norm = np.empty(phi.shape[0])
-        nxt.refresh_eta_norm(changed_docs)
+        nxt.refresh_eta_norm(docs)
         nxt.refresh_phi_norm()
         return nxt
 
@@ -192,14 +257,24 @@ class ModelState:
 
 def init_slice_state(sl: TimeSlice, k: int, v: int, seed: int) -> SliceState:
     """Fresh state of one slice, from streams keyed by its index alone,
-    so a worker can build just the slices it owns."""
+    so a worker can build just the slices it owns.  Every token's topic
+    comes from one draw."""
     t = sl.slice_index
     tokens = [doc.tokens for doc in sl.docs]
     phi = rng_for(seed, "init-phi", t).normal(0.0, np.sqrt(PHI_INIT_VARIANCE), size=(k, v))
     eta = np.zeros((sl.n_docs, k))
-    zrng = rng_for(seed, "init-z", t)
-    z = [zrng.integers(0, k, size=len(w)).astype(np.int32) for w in tokens]
-    return SliceState(t, tokens, np.zeros(k), phi, eta, z)
+    ends = np.cumsum([len(w) for w in tokens], dtype=np.int64)
+    n_tokens = int(ends[-1]) if len(tokens) else 0
+    z_all = rng_for(seed, "init-z", t).integers(0, k, size=n_tokens, dtype=np.int32)
+    return SliceState(t, tokens, np.zeros(k), phi, eta, split_flat(z_all, ends))
+
+
+def split_flat(flat: np.ndarray, ends) -> list:
+    """Per-document arrays cut from a flat token array; ``ends[i]`` is
+    where document i stops.  Each is a copy: a view would keep the whole
+    flat array alive for as long as any one document keeps its slice."""
+    ends = np.asarray(ends).tolist()
+    return [flat[a:b].copy() for a, b in zip([0] + ends[:-1], ends)]
 
 
 def init_state(corpus: Corpus, hyper: Hyperparams, seed: int) -> ModelState:
@@ -214,20 +289,44 @@ def init_state(corpus: Corpus, hyper: Hyperparams, seed: int) -> ModelState:
     return ModelState(hyper=hyper, slices=slices, counts=counts, vocabulary_size=v)
 
 
+def gather_docs(slice_state: SliceState, docs: np.ndarray):
+    """(words, topics, lengths) of the given documents, each document's
+    tokens contiguous and in ``docs`` order."""
+    if docs.shape[0] == 0:
+        empty = np.empty(0, dtype=np.int32)
+        return empty, empty, np.empty(0, dtype=np.int64)
+    idx = docs.tolist()
+    z = [slice_state.z[d] for d in idx]
+    lengths = np.fromiter(map(len, z), dtype=np.int64, count=len(z))
+    w_all = np.concatenate([slice_state.tokens[d] for d in idx])
+    return w_all, np.concatenate(z), lengths
+
+
 def accumulate_counts(slice_state: SliceState, doc_subset) -> CountSet:
-    """Tally counts over a document subset only (the mini-batch)."""
+    """Tally counts over a document subset only (the mini-batch).
+
+    Each table is one scatter-add over int32 keys: a ``bincount`` of
+    ``row*K + z`` for ``c_doc``, and an ``add.at`` of ``z*V + w`` into
+    the int32 ``c_word_topic``, which is as fast here and, unlike a
+    ``bincount``, allocates no int64 K*V temporary (that temporary
+    raised the peak RSS of a K=50, V=1000 run by about 1 MB).
+    """
     k, v = slice_state.k, slice_state.v
     cs = CountSet(k, v)
-    subset = list(doc_subset)
-    if not subset:
+    docs = np.asarray(doc_subset, dtype=np.int64).reshape(-1)
+    m = docs.shape[0]
+    if m == 0:
         return cs
-    z_all = np.concatenate([slice_state.z[d] for d in subset])
-    w_all = np.concatenate([slice_state.tokens[d] for d in subset])
-    np.add.at(cs.c_word_topic, (z_all, w_all), 1)
-    cs.c_topic = np.bincount(z_all, minlength=k).astype(np.int64)
+    w_all, z_all, lengths = gather_docs(slice_state, docs)
+    key = np.repeat(np.arange(0, m * k, k, dtype=np.int32), lengths)
+    key += z_all
+    cs.docs = docs
+    cs.c_doc = np.bincount(key, minlength=m * k).reshape(m, k)
+    np.multiply(z_all, v, out=key)
+    key += w_all
+    np.add.at(cs.c_word_topic.reshape(-1), key, np.ones(key.shape[0], dtype=np.int32))
+    cs.c_topic = cs.c_word_topic.sum(axis=1, dtype=np.int64)
     cs.n_tokens = int(z_all.shape[0])
-    for d in subset:
-        cs.c_doc[d] = np.bincount(slice_state.z[d], minlength=k).astype(np.int64)
     return cs
 
 
@@ -322,11 +421,7 @@ def read_slice_checkpoint(path) -> dict:
     (crc,) = _CRC.unpack_from(blob, body_end)
     if zlib.crc32(memoryview(blob)[:body_end]) != crc:
         raise ValueError(f"{path}: checksum mismatch, the file is corrupt")
-    z = []
-    pos = 0
-    for n in lengths:
-        z.append(z_flat[pos:pos + int(n)].astype(np.int32))
-        pos += int(n)
+    z = split_flat(z_flat, np.cumsum(lengths, dtype=np.int64))
     return {"master_seed": master_seed, "iteration": iteration, "T": t_total,
             "K": k, "V": v, "D_t": d_t, "slice_index": slice_index,
             "alpha": alpha, "phi": phi, "eta": eta, "z": z}

@@ -11,6 +11,10 @@
   proposals: one doc-proposal then one word-proposal per token,
   amortized O(1) per token.
 
+The gradient and Langevin functions take one row or a stack of rows
+(a mini-batch's eta, all K rows of phi); each row of a stacked result
+equals the one-row result bit for bit, so one call covers a block.
+
 Acceptance arithmetic stays in log space throughout: eta and phi are
 unbounded, so ratios are formed as differences and exp() only ever sees
 values clamped at 0 from above.
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (AliasTable, alias_draw_stacked, build_alias_matrix,
-                      pool_draw_many, refill_pool)
-from .kernels import pool_draw  # noqa: F401 - perfbench's tracer wraps samplers.pool_draw
+from .kernels import alias_draw_stacked, build_alias_matrix
+# unused here; perfbench's tracer wraps these names in this module
+from .kernels import pool_draw, pool_draw_many, refill_pool  # noqa: F401
 from .model import Hyperparams, SliceState
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
     "grad_log_post_phi",
     "sgld_update_phi",
     "rebuild_proposals",
+    "mh_sweep",
     "mh_sweep_document",
     "sample_tokens_exact",
 ]
@@ -68,13 +73,6 @@ class NeighborContext:
             return np.asarray(self.left, dtype=np.float64)
         return (np.asarray(self.left, dtype=np.float64)
                 + np.asarray(self.right, dtype=np.float64)) / 2.0
-
-    def row(self, k: int) -> "NeighborContext":
-        """Row view for per-topic updates of a stacked (K, V) parameter."""
-        return NeighborContext(
-            left=None if self.left is None else self.left[k],
-            right=None if self.right is None else self.right[k],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +112,36 @@ def sample_alpha(neighbors: NeighborContext, eta_bar, d_t: int,
 # eta_{d,t}: SGLD
 # ---------------------------------------------------------------------------
 
-def grad_log_post_eta(eta, alpha, c_doc, n_d: int, psi2: float,
-                      eta_log_norm: float | None = None) -> np.ndarray:
-    """Gradient of the log conditional of one document's parameter.
+def _per_row(values, x: np.ndarray):
+    """Per-row values as a column against a stack of rows ``x``; the
+    value of a single row as it is."""
+    return np.asarray(values)[:, None] if x.ndim == 2 else values
+
+
+def _log_norms(x: np.ndarray, log_norm):
+    """Row log-normalizers of x, shaped to broadcast against it."""
+    if log_norm is None:
+        m = x.max(axis=-1, keepdims=True)
+        return m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    return _per_row(log_norm, x)
+
+
+def grad_log_post_eta(eta, alpha, c_doc, n_d, psi2: float,
+                      eta_log_norm=None) -> np.ndarray:
+    """Gradient of the log conditional of one document's parameter, or of
+    a stack of them (rows of ``eta`` and ``c_doc``; ``n_d`` and
+    ``eta_log_norm`` one entry per row).
 
     Component k: -(eta_k - alpha_k)/psi2 + c_doc[k] - N_d * pi(eta)_k.
-    O(K) given the cached softmax log-normalizer.
+    O(K) per row given the cached softmax log-normalizer.
     """
     eta = np.asarray(eta, dtype=np.float64)
     c_doc = np.asarray(c_doc)
-    if int(c_doc.sum()) != n_d:
-        raise ValueError(f"c_doc sums to {int(c_doc.sum())}, expected N_d={n_d}")
-    if eta_log_norm is None:
-        m = eta.max()
-        eta_log_norm = m + np.log(np.exp(eta - m).sum())
-    pi = np.exp(eta - eta_log_norm)
-    return -(eta - np.asarray(alpha, dtype=np.float64)) / psi2 + c_doc - n_d * pi
+    if (c_doc.sum(axis=-1) != n_d).any():
+        raise ValueError(f"c_doc sums to {c_doc.sum(axis=-1)}, expected N_d={n_d}")
+    pi = np.exp(eta - _log_norms(eta, eta_log_norm))
+    return (-(eta - np.asarray(alpha, dtype=np.float64)) / psi2 + c_doc
+            - _per_row(n_d, eta) * pi)
 
 
 def _sgld_step(x, grad, eps: float, rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +155,7 @@ def _sgld_step(x, grad, eps: float, rng: np.random.Generator) -> np.ndarray:
 
 
 def sgld_update_eta(eta, grad, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """eta' = eta + eps/2 * grad + N(0, eps I).
+    """eta' = eta + eps/2 * grad + N(0, eps I), for one row or a stack.
 
     The document likelihood uses all of the document's tokens, so no
     mini-batch rescaling enters here.
@@ -155,39 +167,42 @@ def sgld_update_eta(eta, grad, eps: float, rng: np.random.Generator) -> np.ndarr
 # phi_{k,t}: SGLD
 # ---------------------------------------------------------------------------
 
-def grad_log_post_phi(phi_row, neighbors_row: NeighborContext, c_word_row,
-                      c_topic_k: int, beta2: float, batch_scale: float = 1.0,
-                      phi_log_norm: float | None = None) -> np.ndarray:
-    """Gradient of the log conditional of one topic's term parameter row.
+def grad_log_post_phi(phi, neighbors: NeighborContext, c_word, c_topic,
+                      beta2: float, batch_scale: float = 1.0,
+                      phi_log_norm=None) -> np.ndarray:
+    """Gradient of the log conditional of one topic's term parameter row,
+    or of all K rows (``neighbors`` then holds (K, V) values; ``c_topic``
+    and ``phi_log_norm`` one entry per row).
 
     The chain prior contributes (left + right - 2*phi)/beta2 with two
     neighbors or (nb - phi)/beta2 with one; the word-count likelihood is
     scaled by batch_scale = D_t / |mini-batch| to stay unbiased when the
     counts come from a mini-batch.
     """
-    phi_row = np.asarray(phi_row, dtype=np.float64)
-    c_word_row = np.asarray(c_word_row)
-    if int(c_word_row.sum()) != int(c_topic_k):
-        raise ValueError(f"word counts sum to {int(c_word_row.sum())}, "
-                         f"expected c_topic={int(c_topic_k)}")
-    n_nb = neighbors_row.n_present
+    phi = np.asarray(phi, dtype=np.float64)
+    c_word = np.asarray(c_word)
+    if (c_word.sum(axis=-1) != c_topic).any():
+        raise ValueError(f"word counts sum to {c_word.sum(axis=-1)}, "
+                         f"expected c_topic={c_topic}")
+    # the likelihood term, built in one buffer:
+    # batch_scale * (c_word - c_topic * softmax(phi))
+    g = np.subtract(phi, _log_norms(phi, phi_log_norm))
+    np.exp(g, out=g)
+    g *= _per_row(c_topic, phi)
+    np.subtract(c_word, g, out=g)
+    g *= batch_scale
+    n_nb = neighbors.n_present
     if n_nb == 2:
-        prior = (neighbors_row.left + neighbors_row.right - 2.0 * phi_row) / beta2
+        g += (neighbors.left + neighbors.right - 2.0 * phi) / beta2
     elif n_nb == 1:
-        nb = neighbors_row.left if neighbors_row.left is not None else neighbors_row.right
-        prior = (np.asarray(nb, dtype=np.float64) - phi_row) / beta2
-    else:
-        prior = np.zeros_like(phi_row)
-    if phi_log_norm is None:
-        m = phi_row.max()
-        phi_log_norm = m + np.log(np.exp(phi_row - m).sum())
-    pi = np.exp(phi_row - phi_log_norm)
-    return prior + batch_scale * (c_word_row - float(c_topic_k) * pi)
+        nb = neighbors.left if neighbors.left is not None else neighbors.right
+        g += (np.asarray(nb, dtype=np.float64) - phi) / beta2
+    return g
 
 
-def sgld_update_phi(phi_row, grad, eps: float, rng: np.random.Generator) -> np.ndarray:
-    """Same Langevin step as the document update, V-dimensional noise."""
-    return _sgld_step(phi_row, grad, eps, rng)
+def sgld_update_phi(phi, grad, eps: float, rng: np.random.Generator) -> np.ndarray:
+    """Same Langevin step as the document update, one noise draw per entry."""
+    return _sgld_step(phi, grad, eps, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -195,80 +210,80 @@ def sgld_update_phi(phi_row, grad, eps: float, rng: np.random.Generator) -> np.n
 # ---------------------------------------------------------------------------
 
 class MhProposalState:
-    """One iteration's proposal tables.
+    """One iteration's proposal tables, stacked.
 
-    Each mini-batch document has an alias table over exp(eta_d) with a
-    pool of stale draws.  The word tables over exp(phi[:, w]) are the
-    stacked (V, K) ``word_prob``/``word_alias`` arrays, which the sweep
-    reads by gather; they keep no pools.  Both are rebuilt every
-    iteration because the parameters they were built from move every
-    iteration.
+    Row i of ``doc_prob``/``doc_alias`` is the alias table over exp(eta_d)
+    of document ``docs[i]``; row w of ``word_prob``/``word_alias`` is the
+    table over exp(phi[:, w]).  The sweep reads both by gather; no table
+    keeps a pool of draws.  They are rebuilt every iteration because the
+    parameters they were built from move every iteration.
     """
 
-    __slots__ = ("doc_tables", "word_prob", "word_alias")
+    __slots__ = ("docs", "doc_prob", "doc_alias", "word_prob", "word_alias")
 
-    def __init__(self, doc_tables, word_prob, word_alias):
-        self.doc_tables: dict[int, AliasTable] = doc_tables
+    def __init__(self, docs, doc_prob, doc_alias, word_prob, word_alias):
+        self.docs = docs
+        self.doc_prob = doc_prob
+        self.doc_alias = doc_alias
         self.word_prob = word_prob
         self.word_alias = word_alias
 
 
-def rebuild_proposals(slice_state: SliceState, minibatch,
-                      rng: np.random.Generator) -> MhProposalState:
-    """Fresh proposal tables for one iteration.
-
-    The doc tables of the mini-batch and the V word tables are each
-    built in one stacked alias construction.  Each doc table then gets
-    a full pool of K stale draws from ``rng``, in mini-batch order; the
-    word tables get no pools.
-    """
-    docs = [int(d) for d in minibatch]
+def rebuild_proposals(slice_state: SliceState, minibatch) -> MhProposalState:
+    """Fresh proposal tables for one iteration: the mini-batch's doc tables
+    and the V word tables, each kind built in one stacked alias
+    construction.  Draws nothing."""
+    docs = np.asarray(minibatch, dtype=np.int64).reshape(-1)
     eta = slice_state.eta[docs]
     doc_prob, doc_alias = build_alias_matrix(
         np.exp(eta - eta.max(axis=1, keepdims=True)))
-    doc_tables = {}
-    for i, d in enumerate(docs):
-        table = AliasTable(doc_prob[i], doc_alias[i])
-        refill_pool(table, rng)
-        doc_tables[d] = table
-
     col_max = slice_state.phi.max(axis=0)
     word_weights = np.exp(slice_state.phi - col_max).T  # (V, K)
     word_prob, word_alias = build_alias_matrix(word_weights)
-    return MhProposalState(doc_tables, word_prob, word_alias)
+    return MhProposalState(docs, doc_prob, doc_alias, word_prob, word_alias)
+
+
+def mh_sweep(eta, phi, w, z, rows, proposals: MhProposalState,
+             rng: np.random.Generator) -> np.ndarray:
+    """Resample a batch of tokens; returns their new topics as int32.
+
+    Token i has word ``w[i]`` and topic ``z[i]``, and belongs to the
+    document whose parameter is ``eta[rows[i]]`` and whose doc table is
+    row ``rows[i]`` of ``proposals``.  Tokens are independent given
+    (eta, phi), so the batch is one doc step over every token, then one
+    word step.  A doc step proposes s ~ exp(eta_d) and accepts with
+    min(1, exp(phi[s,w] - phi[z,w])); a word step proposes
+    s ~ exp(phi[:,w]) and accepts with min(1, exp(eta_d[s] - eta_d[z])).
+    The ratios are exact because the tables were built from the
+    parameter values they read.  ``rng`` is read in a fixed order: doc
+    proposals, doc coins, word proposals, word coins.
+    """
+    n = w.shape[0]
+    s = alias_draw_stacked(proposals.doc_prob, proposals.doc_alias, rows, rng)
+    log_a = phi[s, w] - phi[z, w]
+    z1 = np.where(np.log(rng.random(n)) < log_a, s, z)
+
+    s2 = alias_draw_stacked(proposals.word_prob, proposals.word_alias, w, rng)
+    flat, base = eta.ravel(), rows * eta.shape[1]   # flat gathers beat 2-D ones
+    log_a = flat[base + s2] - flat[base + z1]
+    z2 = np.where(np.log(rng.random(n)) < log_a, s2, z1)
+    return z2.astype(np.int32)
 
 
 def mh_sweep_document(slice_state: SliceState, d: int, proposals: MhProposalState,
                       rng: np.random.Generator) -> np.ndarray:
-    """Resample every token of one document; returns the new z array.
-
-    Tokens are independent given (eta, phi), so the whole document is
-    one batch of doc-steps followed by one batch of word-steps.  A doc
-    step proposes s ~ exp(eta_d) and accepts with min(1, exp(phi[s,w] -
-    phi[z,w])); a word step proposes s ~ exp(phi[:,w]) and accepts with
-    min(1, exp(eta_d[s] - eta_d[z])).  The ratios are exact because the
-    tables were built from the parameter values they read.  Doc
-    proposals drain the document's own pool; word proposals are drawn
-    straight from the stacked word tables with this document's stream,
-    so the sweep's output depends only on (document, iteration), never
-    on the order in which documents are swept.
-    """
+    """Resample every token of document d, one of ``proposals.docs``, with
+    ``mh_sweep``; returns the new z array."""
+    one = proposals
+    docs = proposals.docs.tolist()
+    if docs != [d]:
+        i = docs.index(d)
+        one = MhProposalState(proposals.docs[i:i + 1], proposals.doc_prob[i:i + 1],
+                              proposals.doc_alias[i:i + 1], proposals.word_prob,
+                              proposals.word_alias)
     w = slice_state.tokens[d]
-    z = slice_state.z[d]
-    n = w.shape[0]
-    if n == 0:
-        return z.copy()
-    eta_d = slice_state.eta[d]
-    phi = slice_state.phi
-
-    s = pool_draw_many(proposals.doc_tables[d], rng, n)
-    log_a = phi[s, w] - phi[z, w]
-    z1 = np.where(np.log(rng.random(n)) < log_a, s, z)
-
-    s2 = alias_draw_stacked(proposals.word_prob, proposals.word_alias, w.astype(np.int64), rng)
-    log_a = eta_d[s2] - eta_d[z1]
-    z2 = np.where(np.log(rng.random(n)) < log_a, s2, z1)
-    return z2.astype(np.int32)
+    return mh_sweep(slice_state.eta[d:d + 1], slice_state.phi, w, slice_state.z[d],
+                    np.zeros(w.shape[0], dtype=np.int64), one, rng)
 
 
 def sample_tokens_exact(eta_d: np.ndarray, phi: np.ndarray, tokens: np.ndarray,

@@ -136,8 +136,8 @@ class TestCriterion2AlphaSampler:
 class TestCriterion3MhStationarity:
     def test_token_chain_total_variation(self):
         # a document of n copies of one word is n independent cyclic
-        # chains; sweeping it through one set of tables, with stale doc
-        # pools, must leave each token at softmax(eta + phi[:, w])
+        # chains; sweeping it through one set of tables must leave each
+        # token at softmax(eta + phi[:, w])
         t0 = time.perf_counter()
         k, v, w = 3, 6, 4
         n, burn_in, tallied = 10_000, 10, 100
@@ -148,7 +148,7 @@ class TestCriterion3MhStationarity:
                            phi, eta, [np.zeros(n, dtype=np.int32)])
         target = softmax(eta[0] + phi[:, w])
         mrng = rng_for(301, "chain")
-        props = rebuild_proposals(state, [0], mrng)
+        props = rebuild_proposals(state, [0])
         counts = np.zeros(k)
         for sweep in range(burn_in + tallied):
             state.z[0] = mh_sweep_document(state, 0, props, mrng)
@@ -277,7 +277,7 @@ class TestCriterion7AmortizedO1:
         n_tokens = sum(len(w) for w in state.tokens)
         best_mh = best_naive = np.inf
         for r in range(repeats):
-            props = rebuild_proposals(state, docs, rng_for(702, "tables", k, r))
+            props = rebuild_proposals(state, docs)
             rng = rng_for(703, "mh", k, r)
             t0 = time.perf_counter()
             for d in docs:
@@ -389,7 +389,7 @@ class TestCriterion9CountIntegrity:
         ok = (counts.c_word_topic.tolist() == c_word_topic
               and counts.c_topic.tolist() == c_topic
               and counts.n_tokens == sum(c_topic)
-              and {d: c.tolist() for d, c in counts.c_doc.items()} == c_doc)
+              and {int(d): c.tolist() for d, c in zip(counts.docs, counts.c_doc)} == c_doc)
         try:
             counts.validate(state.tokens)
             invariants = True

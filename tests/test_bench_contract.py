@@ -57,3 +57,37 @@ def test_entry_points_the_benchmark_calls():
                          (samplers, "refill_pool"), (kernels, "refill_pool"),
                          (evaluation, "refill_pool")):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_traced_run_keeps_every_counter(tmp_path):
+    # the tracer's counters read the arguments and results of the calls
+    # they wrap; a call they can no longer read drops its metrics from a
+    # traced benchmark result
+    from time import perf_counter
+
+    from dtmgibbs import engine, evaluation
+    from dtmgibbs.corpus import split_holdout
+    from dtmgibbs.model import Hyperparams
+    from dtmgibbs.synthetic import generate_synthetic
+
+    tracing = load_tracing()
+    hyper = Hyperparams(K=3)
+    corpus, _ = generate_synthetic(hyper, v=20, n_slices=2, docs_per_slice=20,
+                                   doc_len=10, seed=3)
+    split = split_holdout(corpus, 0.2, 0.5, seed=1)
+    tracer = tracing.Tracer(tmp_path / "trace")
+    tracer.install()
+    try:
+        start = perf_counter()
+        state = engine.train(split.train, hyper,
+                             engine.TrainConfig(iterations=2, minibatch_size=5)).state
+        evaluation.perplexity(split, state, evaluation.EvalConfig(inner_steps=3))
+        end = perf_counter()
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.collect()
+    assert tracer.broken_counters == set()
+    metrics, absent = tracing.layer_metrics(tracer, spans, counts, start, end, end - start)
+    assert absent == []
+    assert metrics["samplers.mh_sweep.tokens"] > 0
+    assert metrics["evaluation.infer_doc_eta.calls"] > 0

@@ -108,6 +108,33 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith(f"configuration error: {key} = ")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, line, key", [
+        ("train", "test_fraction = x", "test_fraction"),
+        ("train", "test_fraction = 1.5", "test_fraction"),
+        ("train", "heldout_fraction = 0", "heldout_fraction"),
+        ("train", "split_seed = 1.5", "split_seed"),
+        ("trends", "test_fraction = -0.1", "test_fraction"),
+        ("eval", "inner_steps = x", "inner_steps"),
+        ("eval", "inner_steps = -1", "inner_steps"),
+        ("worker", "worker_id = one", "worker_id"),
+    ])
+    def test_bad_config_file_value_exit_1(self, tmp_path, corpus_file, capsys,
+                                          command, line, key):
+        # values from a config file bypass the typed flags; each must be
+        # rejected before the manifest is written
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "r"
+        extra = []
+        if command == "worker":      # never dialed: the value fails first
+            write_topology(tmp_path / "topo.txt", [1, 2], 3)
+            extra = ["--topology", str(tmp_path / "topo.txt")]
+        code = main([command, "--config", str(cfg_file), "--corpus", str(corpus_file),
+                     "--out", str(out), "--topics", "3", *extra])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} = ")
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_exit_3(self, tmp_path, corpus_file, capsys):
         code, _ = run_train(tmp_path, corpus_file,

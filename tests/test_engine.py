@@ -7,7 +7,7 @@ from conftest import states_equal
 
 from dtmgibbs.engine import (METRICS_FIELDS, NumericError, TrainConfig,
                              run_iteration, select_minibatch, train)
-from dtmgibbs.kernels import rng_for
+from dtmgibbs.kernels import log_sum_exp, rng_for
 from dtmgibbs.model import Hyperparams, SliceState, init_state
 from dtmgibbs.samplers import NeighborContext
 from dtmgibbs.synthetic import generate_synthetic
@@ -217,7 +217,7 @@ class TestIterationCost:
         nb_alpha, nb_phi = first_slice_neighbors(4, 30)
         nxt, counts, _ = run_iteration(prev, nb_alpha, nb_phi, Hyperparams(K=4),
                                        TrainConfig(minibatch_size=20), 0)
-        assert refreshed == [sorted(counts.c_doc)]
+        assert refreshed == [sorted(counts.docs.tolist())]
         assert len(refreshed[0]) == 20
         assert built == []
         nxt.validate_normalizers()
@@ -225,9 +225,11 @@ class TestIterationCost:
     def test_time_flat_across_slice_sizes(self):
         """Mini-batch fixed at 60: an iteration over a 20,000-document
         slice costs at most 1.2x one over 200 documents (min of N runs,
-        the sizes interleaved).  The host's speed drifts, so a round
-        that misses the bound is measured again, up to three rounds; a
-        cost that grows with D_t misses it in every round."""
+        the sizes interleaved).  Each slice advances as in training,
+        every iteration starting from the previous one's state.  The
+        host's speed drifts, so a round that misses the bound is
+        measured again, up to three rounds; a cost that grows with D_t
+        misses it in every round."""
         k, v = 10, 200
         hyper, cfg = Hyperparams(K=k), TrainConfig(minibatch_size=60)
         nb_alpha, nb_phi = first_slice_neighbors(k, v)
@@ -238,9 +240,52 @@ class TestIterationCost:
             for i in range(10):
                 for d_t, st in states.items():
                     t0 = time.perf_counter()
-                    run_iteration(st, nb_alpha, nb_phi, hyper, cfg, i)
+                    states[d_t] = run_iteration(st, nb_alpha, nb_phi, hyper, cfg, i)[0]
                     best[d_t] = min(best[d_t], time.perf_counter() - t0)
             ratios.append(best[20_000] / best[200])
             if ratios[-1] <= 1.2:
                 break
         assert min(ratios) <= 1.2, ratios
+
+
+class TestBlockStreams:
+    @pytest.mark.parametrize("k, minibatch", [(2, 3), (2, 40), (16, 3), (16, 40)])
+    def test_streams_per_slice_iteration_are_fixed(self, monkeypatch, k, minibatch):
+        import dtmgibbs.engine as engine
+        built = []
+
+        def counting_rng_for(seed, *path):
+            built.append(path)
+            return rng_for(seed, *path)
+
+        monkeypatch.setattr(engine, "rng_for", counting_rng_for)
+        st = random_slice(60, k=k, v=25, doc_len=8, seed=k)
+        nb_alpha, nb_phi = first_slice_neighbors(k, 25)
+        for i in range(2):
+            st = run_iteration(st, nb_alpha, nb_phi, Hyperparams(K=k),
+                               TrainConfig(minibatch_size=minibatch), i)[0]
+        assert built == [(block, 1, i) for i in range(2)
+                         for block in ("minibatch", "eta", "phi", "z", "alpha")]
+
+    def test_log_joint_proxy_equals_per_document_sum(self):
+        from dtmgibbs.engine import log_joint_proxy
+        rng = np.random.default_rng(13)
+        k, v = 6, 30
+        st = random_slice(80, k=k, v=v, doc_len=12, seed=13)
+        hyper = Hyperparams(K=k, sigma2=0.3, beta2=0.2, psi2=0.7)
+        nb_alpha = NeighborContext(left=rng.normal(size=k), right=rng.normal(size=k))
+        nb_phi = NeighborContext(left=rng.normal(size=(k, v)))
+        mb = np.sort(rng.choice(80, size=17, replace=False))
+        expected = -(((st.alpha - nb_alpha.left) ** 2).sum()
+                     + ((st.alpha - nb_alpha.right) ** 2).sum()) / (2 * hyper.sigma2)
+        expected -= ((st.phi - nb_phi.left) ** 2).sum() / (2 * hyper.beta2)
+        scale = 80 / 17
+        for d in mb:
+            eta_d = st.eta[d]
+            norm_d = log_sum_exp(eta_d)
+            expected -= scale * ((eta_d - st.alpha) ** 2).sum() / (2 * hyper.psi2)
+            for w, z in zip(st.tokens[d], st.z[d]):
+                expected += scale * (eta_d[z] - norm_d + st.phi[z, w]
+                                     - log_sum_exp(st.phi[z]))
+        got = log_joint_proxy(st, nb_alpha, nb_phi, mb, hyper)
+        assert got == pytest.approx(expected, rel=1e-12)

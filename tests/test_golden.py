@@ -34,13 +34,13 @@ CONFIGS = {
 
 DIGESTS = {
     "k10-v200-d300":
-        "bd40981e30c44540684a91ca9f1766547974a2b502df5a65d36be9956f5ee906",
+        "998da598118084fea2bcbd0e18069279d0bf8b5eeaf2b2df5c1553b10c7a852b",
     "k50-v1000-d60":
-        "45d30a94a8a791f649216f61f71d80d99b953500c9e8f7a104d6c9a599f102aa",
+        "00e39cd64353c3102d291f78a011341d1a61606487d4be234caa9457500b36be",
     "k3-v20-d30":
-        "d5fd543bca797de4caab1e1eadc5882ce03081bafac6035bf1b8c45adc9ad2c7",
+        "c4daa2b02a4c6812bbec992417767e6b395dfac7e71a1231aaa5a660e4b25b45",
     "k8-v50-d20":
-        "8c520c1841ed154479aeb83cf2da069267b19f9139c19ab1b31a6725e77f8f51",
+        "6c71f4aa5e1bc9e0f9df0ef2a0e72aaab9b35e32b94bf6b211996b323821a049",
 }
 
 

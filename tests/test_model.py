@@ -102,6 +102,46 @@ class TestAccumulateCounts:
         np.testing.assert_array_equal(cs.c_word_topic, brute)
         np.testing.assert_array_equal(cs.c_topic, brute.sum(axis=1))
 
+    def test_block_tallies_equal_per_row_formulas(self):
+        # the two bincounts against one bincount and one add.at per document
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            k, v, d_t = int(rng.integers(1, 9)), int(rng.integers(1, 30)), 40
+            tokens = [rng.integers(0, v, size=int(rng.integers(0, 25))).astype(np.int32)
+                      for _ in range(d_t)]
+            z = [rng.integers(0, k, size=w.shape[0]).astype(np.int32) for w in tokens]
+            sl = SliceState(1, tokens, np.zeros(k), rng.normal(size=(k, v)),
+                            rng.normal(size=(d_t, k)), z)
+            docs = rng.choice(d_t, size=15, replace=False)       # not sorted
+            cs = accumulate_counts(sl, docs)
+            np.testing.assert_array_equal(cs.docs, docs)
+            assert cs.c_doc.shape == (15, k)
+            c_word_topic = np.zeros((k, v), dtype=np.int64)
+            for i, d in enumerate(docs):
+                np.testing.assert_array_equal(cs.c_doc[i], np.bincount(z[d], minlength=k))
+                np.add.at(c_word_topic, (z[d], tokens[d]), 1)
+            np.testing.assert_array_equal(cs.c_word_topic, c_word_topic)
+            np.testing.assert_array_equal(cs.c_topic, c_word_topic.sum(axis=1))
+            assert cs.n_tokens == sum(len(tokens[d]) for d in docs)
+            cs.validate(tokens)
+
+    def test_validate_and_equals_catch_a_corrupted_row(self, tmp_path):
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=3), seed=0)
+        sl = st.slices[0]
+        good = accumulate_counts(sl, [1, 0])
+        for corrupt in ("move", "add"):
+            bad = accumulate_counts(sl, [1, 0])
+            assert bad.equals(good)
+            if corrupt == "move":       # one count moves to another document
+                bad.c_doc[1, np.argmax(bad.c_doc[1])] -= 1
+                bad.c_doc[0, 0] += 1
+            else:
+                bad.c_doc[1, 2] += 1
+            assert not bad.equals(good)
+            with pytest.raises(AssertionError, match="c_doc"):
+                bad.validate(sl.tokens)
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
@@ -234,17 +274,21 @@ class TestNormalizerCache:
 
     def test_successor_refreshes_only_changed_rows(self):
         rng = np.random.default_rng(6)
-        sl = SliceState(1, [], np.zeros(4), rng.normal(size=(4, 9)),
-                        rng.normal(size=(30, 4)), [])
+        docs = [np.zeros(0, dtype=np.int32)] * 30
+        sl = SliceState(1, docs, np.zeros(4), rng.normal(size=(4, 9)),
+                        rng.normal(size=(30, 4)), list(docs))
+        old_eta = sl.eta.copy()
         eta = sl.eta.copy()
         eta[[3, 17]] = rng.normal(size=(2, 4)) * 20
         phi = rng.normal(size=(4, 9))
-        nxt = sl.successor(np.ones(4), phi, eta, [], [3, 17])
-        fresh = SliceState(1, [], np.ones(4), phi, eta, [])
+        nxt = sl.successor(np.ones(4), phi, [3, 17], eta[[3, 17]], [docs[3], docs[17]])
+        fresh = SliceState(1, docs, np.ones(4), phi, eta, list(docs))
         np.testing.assert_array_equal(nxt.eta_log_norm, fresh.eta_log_norm)
         np.testing.assert_array_equal(nxt.phi_log_norm, fresh.phi_log_norm)
         assert not np.shares_memory(nxt.eta_log_norm, sl.eta_log_norm)
         assert sl.eta_log_norm[3] != nxt.eta_log_norm[3]   # the parent is untouched
+        np.testing.assert_array_equal(sl.eta, old_eta)
+        np.testing.assert_array_equal(nxt.eta, eta)
 
 
     def test_cache_matches_recompute(self, tmp_path):
@@ -257,3 +301,84 @@ class TestNormalizerCache:
         sl.eta[0] = np.array([5.0, 5.0, 5.0])
         with pytest.raises(AssertionError):
             sl.validate_normalizers()
+
+
+def advance(sl, rng, docs):
+    """sl.successor with fresh random eta rows and z arrays for docs."""
+    eta_rows = rng.normal(size=(len(docs), sl.k))
+    z_rows = [rng.integers(0, sl.k, size=len(sl.tokens[d])).astype(np.int32)
+              for d in docs]
+    return sl.successor(rng.normal(size=sl.k), rng.normal(size=sl.phi.shape),
+                        docs, eta_rows, z_rows)
+
+
+def values(sl):
+    """Copies of a state's document-level values."""
+    return sl.eta.copy(), sl.eta_log_norm.copy(), [z.copy() for z in sl.z]
+
+
+def assert_values(sl, expected):
+    eta, norms, z = expected
+    np.testing.assert_array_equal(sl.eta, eta)
+    np.testing.assert_array_equal(sl.eta_log_norm, norms)
+    assert len(sl.z) == len(z)
+    for a, b in zip(sl.z, z):
+        np.testing.assert_array_equal(a, b)
+    sl.validate_normalizers()
+
+
+class TestSuccessor:
+    """A successor takes over its predecessor's arrays; every state keeps
+    reading as its own values."""
+
+    @staticmethod
+    def slice_state(seed=0, d_t=12, k=3, v=5):
+        rng = np.random.default_rng(seed)
+        tokens = [rng.integers(0, v, size=4).astype(np.int32) for _ in range(d_t)]
+        z = [rng.integers(0, k, size=4).astype(np.int32) for _ in range(d_t)]
+        return SliceState(1, tokens, np.zeros(k), rng.normal(size=(k, v)),
+                          rng.normal(size=(d_t, k)), z)
+
+    def test_successor_equals_a_fresh_state_and_the_predecessor_is_unchanged(self):
+        rng = np.random.default_rng(1)
+        s0 = self.slice_state()
+        v0 = values(s0)
+        s1 = advance(s0, rng, [7, 2])
+        fresh = SliceState(1, s0.tokens, s1.alpha, s1.phi, s1.eta.copy(), list(s1.z))
+        np.testing.assert_array_equal(s1.eta_log_norm, fresh.eta_log_norm)
+        assert_values(s0, v0)
+        assert not np.shares_memory(s0.eta, s1.eta)
+        unchanged = [d for d in range(s0.n_docs) if d not in (7, 2)]
+        np.testing.assert_array_equal(s1.eta[unchanged], v0[0][unchanged])
+
+    def test_chain_with_every_state_alive(self):
+        rng = np.random.default_rng(2)
+        states = [self.slice_state()]
+        expected = [values(states[0])]
+        for step in range(4):
+            states.append(advance(states[-1], rng, [step, step + 5]))
+            expected.append(values(states[-1]))
+        for sl, exp in reversed(list(zip(states, expected))):
+            assert_values(sl, exp)
+
+    def test_one_state_advanced_twice(self):
+        rng = np.random.default_rng(3)
+        s0 = self.slice_state()
+        v0 = values(s0)
+        a = advance(s0, rng, [1, 4])
+        va = values(a)
+        b = advance(s0, rng, [4, 9])
+        vb = values(b)
+        assert_values(a, va)
+        assert_values(b, vb)
+        assert_values(s0, v0)
+
+    def test_dropped_predecessors_cost_no_copy(self):
+        # a trainer drops each state once it has the next one: every
+        # successor writes into the first state's arrays
+        rng = np.random.default_rng(4)
+        sl = self.slice_state()
+        eta, norms, z = sl.eta, sl.eta_log_norm, sl.z
+        for step in range(3):
+            sl = advance(sl, rng, [step])
+        assert sl.eta is eta and sl.eta_log_norm is norms and sl.z is z

@@ -5,7 +5,7 @@ import pytest
 from conftest import alpha_mean_long_form, enumerate_alias_measure
 from scipy import stats
 
-from dtmgibbs.kernels import (alias_draw_stacked, build_alias_table,
+from dtmgibbs.kernels import (AliasTable, alias_draw_stacked, build_alias_table,
                               log_sum_exp, rng_for, softmax)
 from dtmgibbs.model import Hyperparams, SliceState
 from dtmgibbs.samplers import (MhProposalState, NeighborContext,
@@ -173,6 +173,58 @@ class TestPhiGradient:
         np.testing.assert_allclose(g3 - prior, 3.0 * (g1 - prior), atol=1e-10)
 
 
+class TestBlockForms:
+    """One call over a stack of rows equals the one-row call per row."""
+
+    def test_eta_gradient_stack_equals_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            m, k = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            eta = 3.0 * rng.normal(size=(m, k))
+            alpha = rng.normal(size=k)
+            n_d = rng.integers(0, 60, size=m)
+            c_doc = np.array([rng.multinomial(n, np.ones(k) / k) for n in n_d])
+            norms = np.array([log_sum_exp(row) for row in eta])
+            for log_norm in (None, norms):
+                g = grad_log_post_eta(eta, alpha, c_doc, n_d, 0.3, log_norm)
+                for i in range(m):
+                    row = grad_log_post_eta(eta[i], alpha, c_doc[i], int(n_d[i]), 0.3,
+                                            None if log_norm is None else norms[i])
+                    np.testing.assert_allclose(g[i], row, rtol=1e-12, atol=1e-12)
+
+    def test_eta_gradient_stack_rejects_one_bad_row(self):
+        c_doc = np.array([[1, 1], [2, 0]])
+        with pytest.raises(ValueError):
+            grad_log_post_eta(np.zeros((2, 2)), np.zeros(2), c_doc, np.array([2, 3]), 0.1)
+
+    def test_phi_gradient_matrix_equals_rows(self):
+        rng = np.random.default_rng(12)
+        for trial in range(9):
+            k, v = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+            phi = 2.0 * rng.normal(size=(k, v))
+            left, right = rng.normal(size=(k, v)), rng.normal(size=(k, v))
+            nb = [NeighborContext(left=left, right=right), NeighborContext(left=left),
+                  NeighborContext(right=right)][trial % 3]
+            c_word = rng.integers(0, 6, size=(k, v))
+            c_topic = c_word.sum(axis=1)
+            norms = np.array([log_sum_exp(row) for row in phi])
+            for log_norm in (None, norms):
+                g = grad_log_post_phi(phi, nb, c_word, c_topic, 0.2, 7.5, log_norm)
+                for kk in range(k):
+                    row_nb = NeighborContext(
+                        left=None if nb.left is None else nb.left[kk],
+                        right=None if nb.right is None else nb.right[kk])
+                    row = grad_log_post_phi(phi[kk], row_nb, c_word[kk], int(c_topic[kk]),
+                                            0.2, 7.5, None if log_norm is None else norms[kk])
+                    np.testing.assert_allclose(g[kk], row, rtol=1e-12, atol=1e-12)
+
+    def test_langevin_step_on_a_stack(self):
+        x = np.arange(12.0).reshape(3, 4)
+        out = sgld_update_eta(x, np.ones((3, 4)), 1e-30, rng_for(0, "stack"))
+        assert out.shape == (3, 4)
+        np.testing.assert_allclose(out, x, atol=1e-12)
+
+
 class TestSgldUpdates:
     def test_tiny_step_is_identity(self):
         eta = np.array([1.0, 2.0])
@@ -227,7 +279,8 @@ class TestSgldUpdates:
             for _ in range(5):
                 t0 = time.perf_counter()
                 for kk in range(k):
-                    g = grad_log_post_phi(phi[kk], nb.row(kk), counts[kk],
+                    row_nb = NeighborContext(left=nb.left[kk], right=nb.right[kk])
+                    g = grad_log_post_phi(phi[kk], row_nb, counts[kk],
                                           int(c_k[kk]), 0.1, 2.0)
                     sgld_update_phi(phi[kk], g, 1e-3, rng)
                 best = min(best, time.perf_counter() - t0)
@@ -239,14 +292,15 @@ class TestSgldUpdates:
 class TestProposals:
     def test_doc_table_weights_match_softmax(self):
         sl = toy_slice(6, 10, 2, 8, seed=1, eta_scale=2.0)
-        props = rebuild_proposals(sl, [0, 1], rng_for(0, "p"))
-        for d in (0, 1):
-            np.testing.assert_allclose(enumerate_alias_measure(props.doc_tables[d]),
+        props = rebuild_proposals(sl, [1, 0])
+        for i, d in enumerate((1, 0)):
+            table = AliasTable(props.doc_prob[i], props.doc_alias[i])
+            np.testing.assert_allclose(enumerate_alias_measure(table),
                                        softmax(sl.eta[d]), atol=1e-12)
 
     def test_word_tables_match_softmax_columns(self):
         sl = toy_slice(4, 7, 1, 5, seed=2, phi_scale=1.5)
-        props = rebuild_proposals(sl, [0], rng_for(0, "p2"))
+        props = rebuild_proposals(sl, [0])
         for w in range(7):
             prob, alias = props.word_prob[w], props.word_alias[w]
             measure = np.zeros(4)
@@ -259,10 +313,9 @@ class TestProposals:
         sl = toy_slice(5, 4, 1, 3, seed=3)
         sl.eta[:] = 0.0
         sl.refresh_eta_norm()
-        props = rebuild_proposals(sl, [0], rng_for(0, "u"))
-        from dtmgibbs.kernels import pool_draw
-        rng = rng_for(1, "draws")
-        draws = np.array([pool_draw(props.doc_tables[0], rng) for _ in range(50_000)])
+        props = rebuild_proposals(sl, [0])
+        draws = alias_draw_stacked(props.doc_prob, props.doc_alias,
+                                   np.zeros(50_000, dtype=np.int64), rng_for(1, "draws"))
         chi = stats.chisquare(np.bincount(draws, minlength=5))
         assert chi.pvalue > 0.01
 
@@ -270,53 +323,56 @@ class TestProposals:
         sl = toy_slice(2, 1, 1, 3, seed=4)
         sl.phi[:, 0] = [np.log(3.0), 0.0]
         sl.refresh_phi_norm()
-        props = rebuild_proposals(sl, [0], rng_for(0, "wt"))
+        props = rebuild_proposals(sl, [0])
         draws = alias_draw_stacked(props.word_prob, props.word_alias,
                                    np.zeros(100_000, dtype=np.int64), rng_for(1, "wd"))
         assert abs((draws == 0).mean() - 0.75) < 0.01
 
     def test_one_stacked_build_per_table_kind(self, monkeypatch):
         import dtmgibbs.samplers as samplers
-        built, refilled = [], []
-        build, refill = samplers.build_alias_matrix, samplers.refill_pool
+        built = []
+        build = samplers.build_alias_matrix
 
         def counting_build(rows):
             built.append(np.asarray(rows).shape)
             return build(rows)
 
-        def counting_refill(table, rng):
-            refilled.append(table)
-            return refill(table, rng)
+        def no_pools(*args):
+            raise AssertionError("proposal tables keep no pools")
 
         monkeypatch.setattr(samplers, "build_alias_matrix", counting_build)
-        monkeypatch.setattr(samplers, "refill_pool", counting_refill)
+        monkeypatch.setattr(samplers, "refill_pool", no_pools)
         sl = toy_slice(5, 30, 8, 10, seed=10)
         minibatch = [6, 1, 3]
-        props = rebuild_proposals(sl, minibatch, rng_for(0, "count"))
+        props = rebuild_proposals(sl, minibatch)
         assert built == [(3, 5), (30, 5)]
-        assert refilled == [props.doc_tables[d] for d in minibatch]
-        assert all(props.doc_tables[d].pool_size() == 5 for d in minibatch)
+        np.testing.assert_array_equal(props.docs, minibatch)
+        prob, alias = build(np.exp(sl.eta[minibatch]
+                                   - sl.eta[minibatch].max(axis=1, keepdims=True)))
+        np.testing.assert_array_equal(props.doc_prob, prob)
+        np.testing.assert_array_equal(props.doc_alias, alias)
 
     def test_word_tables_are_views_without_pools(self):
         # one stacked (V, K) pair whose rows are the scalar builder's
         # tables of the softmax columns; no per-word pool objects
         sl = toy_slice(4, 6, 1, 5, seed=11)
-        props = rebuild_proposals(sl, [0], rng_for(0, "views"))
+        props = rebuild_proposals(sl, [0])
         assert props.word_prob.shape == props.word_alias.shape == (6, 4)
         weights = np.exp(sl.phi - sl.phi.max(axis=0))
         for w in range(6):
             table = build_alias_table(weights[:, w])
             np.testing.assert_array_equal(props.word_prob[w], table.prob)
             np.testing.assert_array_equal(props.word_alias[w], table.alias)
-        assert set(MhProposalState.__slots__) == {"doc_tables", "word_prob", "word_alias"}
+        assert set(MhProposalState.__slots__) == {"docs", "doc_prob", "doc_alias",
+                                                  "word_prob", "word_alias"}
 
 
-def force_proposals(props, d: int, doc_topic: int, word_topic: int, n: int) -> None:
-    """Make document d's next n doc proposals and every word proposal fixed."""
-    table = props.doc_tables[d]
-    table._pool = np.full(n, doc_topic, dtype=np.int64)
-    table._pool_pos = 0
-    props.word_prob[:] = 0.0          # the coin always picks the alias
+def force_proposals(props, d: int, doc_topic: int, word_topic: int) -> None:
+    """Make every doc proposal of document d and every word proposal fixed."""
+    (i,) = np.flatnonzero(props.docs == d)
+    props.doc_prob[i] = 0.0           # the coin always picks the alias
+    props.doc_alias[i] = doc_topic
+    props.word_prob[:] = 0.0
     props.word_alias[:] = word_topic
 
 
@@ -324,10 +380,10 @@ class TestTokenSampler:
     def test_self_proposal_always_accepted(self):
         sl = toy_slice(3, 4, 1, 5, seed=5)
         sl.z[0][:] = 1
-        props = rebuild_proposals(sl, [0], rng_for(0, "sp"))
+        props = rebuild_proposals(sl, [0])
         rng = rng_for(1, "sp")
         for _ in range(50):
-            force_proposals(props, 0, 1, 1, 5)    # proposal = current
+            force_proposals(props, 0, 1, 1)       # proposal = current
             np.testing.assert_array_equal(mh_sweep_document(sl, 0, props, rng), 1)
 
     def test_word_acceptance_rate_exp_minus_one(self):
@@ -339,8 +395,8 @@ class TestTokenSampler:
         eta = np.array([[0.0, -1.0]])
         phi = np.zeros((k, v))
         sl = SliceState(1, tokens, np.zeros(k), phi, eta, z)
-        props = rebuild_proposals(sl, [0], rng_for(0, "ar"))
-        force_proposals(props, 0, 0, 1, trials)   # doc step: s == z; word step: s = 1
+        props = rebuild_proposals(sl, [0])
+        force_proposals(props, 0, 0, 1)   # doc step: s == z; word step: s = 1
         out = mh_sweep_document(sl, 0, props, rng_for(1, "ar"))
         assert abs((out == 1).mean() - np.exp(-1)) < 0.005
 
@@ -354,7 +410,7 @@ class TestTokenSampler:
         sl.z[0][:] = 0
         target = softmax(sl.eta[0] + sl.phi[:, w])
         rng = rng_for(2, "chain")
-        props = rebuild_proposals(sl, [0], rng)
+        props = rebuild_proposals(sl, [0])
         counts = np.zeros(k)
         for sweep in range(210):
             sl.z[0] = mh_sweep_document(sl, 0, props, rng)
@@ -377,7 +433,7 @@ class TestTokenSampler:
         rng = rng_for(3, "sweep")
         counts = np.zeros(k)
         for cycle in range(60):
-            props = rebuild_proposals(sl, [0], rng)
+            props = rebuild_proposals(sl, [0])
             sl.z[0] = mh_sweep_document(sl, 0, props, rng)
             if cycle >= 20:
                 counts += np.bincount(sl.z[0], minlength=k)
@@ -399,6 +455,6 @@ class TestTokenSampler:
         # log-space clamp: acceptance paths never exceed one by construction;
         # verify the chain can only ever produce valid topics
         sl = toy_slice(4, 5, 2, 50, seed=9, eta_scale=30.0, phi_scale=30.0)
-        props = rebuild_proposals(sl, [0, 1], rng_for(0, "hot"))
+        props = rebuild_proposals(sl, [0, 1])
         out = mh_sweep_document(sl, 0, props, rng_for(5, "hot"))
         assert np.all((0 <= out) & (out < 4))
