@@ -242,6 +242,14 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _topic_ids(text: str, k: int) -> list:
+    topics = [int(x) for x in text.split(",")]
+    bad = [t for t in topics if not 0 <= t < k]
+    if bad:
+        raise ValueError(f"topic {bad[0]} is not in [0, {k})")
+    return topics
+
+
 def cmd_trends(args) -> int:
     from .evaluation import export_trends
     from .model import load_checkpoint
@@ -249,15 +257,17 @@ def cmd_trends(args) -> int:
     out = Path(settings.get("out", "."))
     hyper, _ = _hyper_and_config(settings)
     split_cfg = _split_config(settings)
+    picks = {"topic_ids": args.topic_ids, "top_n": str(args.top_n)}
+    topics = (_setting(picks, "topic_ids", lambda text: _topic_ids(text, hyper.K))
+              if args.topic_ids else list(range(hyper.K)))
+    top_n = _setting(picks, "top_n", int, 1)
     write_manifest(out, settings)
     corpus, split = _load_split(settings, split_cfg)
     train_corpus = split.train if split is not None else corpus
     ckpt = settings.get("checkpoint") or str(out / "checkpoints")
     model, _, _ = load_checkpoint(ckpt, train_corpus, hyper)
-    topics = ([int(x) for x in args.topic_ids.split(",")]
-              if args.topic_ids else list(range(hyper.K)))
     dest = out / "trends.csv"
-    export_trends(model, corpus.vocabulary, topics, args.top_n, dest)
+    export_trends(model, corpus.vocabulary, topics, top_n, dest)
     print(f"wrote {dest}")
     return EXIT_OK
 

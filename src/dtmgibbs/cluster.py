@@ -409,16 +409,12 @@ def worker_loop(worker_id: int, owned_slices, corpus: Corpus, hyper: Hyperparams
             if got[side] is not None:
                 prev_alpha[t], prev_phi[t] = got[side]
 
-        next_states = {}
         for t in owned:
             nb_alpha, nb_phi = neighbor_contexts(prev_alpha, prev_phi, t, n_slices_total)
-            nxt, cs, row = run_iteration(states[t], nb_alpha, nb_phi, hyper, cfg, i)
-            next_states[t] = nxt
-            counts[t] = cs
+            counts[t], row = run_iteration(states[t], nb_alpha, nb_phi, hyper, cfg, i)
             metrics.append(row)
             if metrics_sink is not None:
                 metrics_sink(row)
-        states.update(next_states)
     return WorkerResult(worker_id, states, counts, metrics)
 
 

@@ -1,6 +1,7 @@
 """Per-slice training loop: mini-batch selection, the Jacobi-relaxed
-block updates (eta, phi and z, each against a frozen snapshot), then
-the exact alpha draw.
+block updates (eta, phi and z, each reading the previous iteration's
+values), then the exact alpha draw; the slice state is advanced in
+place at the end of the iteration.
 
 Each block is one numpy expression over the whole mini-batch (all its
 documents, all K topics, all its tokens) and draws from one stream
@@ -61,17 +62,6 @@ class TrainConfig:
             raise ValueError("minibatch_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class IterationSnapshot:
-    """Frozen inputs of one iteration: previous-iteration slice values
-    plus the mini-batch counts tallied from them.  Nothing in here is
-    written during the iteration."""
-
-    state: SliceState
-    counts: CountSet
-    minibatch: np.ndarray
-
-
 def select_minibatch(n_docs: int, d_m: int, rng: np.random.Generator) -> np.ndarray:
     """d_m distinct uniform doc indices, ascending; all docs if d_m >= D_t."""
     if n_docs <= 0:
@@ -81,44 +71,40 @@ def select_minibatch(n_docs: int, d_m: int, rng: np.random.Generator) -> np.ndar
     return np.sort(rng.choice(n_docs, size=d_m, replace=False)).astype(np.int64)
 
 
-def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
+def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
                   neighbors_phi: NeighborContext, hyper: Hyperparams,
-                  cfg: TrainConfig, iteration: int) -> tuple[SliceState, CountSet, dict]:
-    """Advance one slice by one iteration against its frozen snapshot.
+                  cfg: TrainConfig, iteration: int) -> tuple[CountSet, dict]:
+    """Advance one slice by one iteration, in place.
 
     Block order: counts, then eta, phi and z, which read only the
-    snapshot and write only their own output arrays, then alpha from
-    the post-update eta mean.  Returns the next slice state, the
-    mini-batch counts, and a metrics row.
+    state's previous-iteration values and write only their own output
+    arrays, then alpha from the post-update eta mean.  The state is
+    advanced once, after every block has run.  Returns the mini-batch
+    counts and a metrics row.
     """
-    t = prev.slice_index
+    t = state.slice_index
     seed = cfg.seed
-    d_t = prev.n_docs
+    d_t = state.n_docs
 
     t0 = time.perf_counter()
     minibatch = select_minibatch(d_t, cfg.minibatch_size, rng_for(seed, "minibatch", t, iteration))
-    snapshot = IterationSnapshot(state=prev,
-                                 counts=accumulate_counts(prev, minibatch),
-                                 minibatch=minibatch)
+    counts = accumulate_counts(state, minibatch)
     # the mini-batch's tokens, flat, each tagged with its row in the batch
-    w, z, lengths = gather_docs(prev, minibatch)
+    w, z, lengths = gather_docs(state, minibatch)
     rows = np.repeat(np.arange(minibatch.shape[0]), lengths)
     ms_counts = (time.perf_counter() - t0) * 1e3
     if cfg.debug_checks:
-        snapshot.counts.validate(prev.tokens)
-
-    snap = snapshot.state
-    counts = snapshot.counts
+        counts.validate(state.tokens)
 
     eps_eta = cfg.schedule_eta.step(iteration)
     eps_phi = cfg.schedule_phi.step(iteration)
     batch_scale = (d_t / minibatch.shape[0]) if minibatch.shape[0] else 0.0
 
     t0 = time.perf_counter()
-    eta_mb = snap.eta[minibatch]
+    eta_mb = state.eta[minibatch]
     try:
-        g = grad_log_post_eta(eta_mb, snap.alpha, counts.c_doc, lengths,
-                              hyper.psi2, snap.eta_log_norm[minibatch])
+        g = grad_log_post_eta(eta_mb, state.alpha, counts.c_doc, lengths,
+                              hyper.psi2, state.eta_log_norm[minibatch])
         eta_mb_next = sgld_update_eta(eta_mb, g, eps_eta,
                                       rng_for(seed, "eta", t, iteration))
     except FloatingPointError as exc:
@@ -127,18 +113,18 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
 
     t0 = time.perf_counter()
     try:
-        g = grad_log_post_phi(snap.phi, neighbors_phi, counts.c_word_topic,
+        g = grad_log_post_phi(state.phi, neighbors_phi, counts.c_word_topic,
                               counts.c_topic, hyper.beta2, batch_scale,
-                              snap.phi_log_norm)
-        phi_next = sgld_update_phi(snap.phi, g, eps_phi,
+                              state.phi_log_norm)
+        phi_next = sgld_update_phi(state.phi, g, eps_phi,
                                    rng_for(seed, "phi", t, iteration))
     except FloatingPointError as exc:
         raise NumericError("phi", t, iteration) from exc
     ms_phi = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    proposals = rebuild_proposals(snap, minibatch)
-    z_mb = mh_sweep(eta_mb, snap.phi, w, z, rows, proposals,
+    proposals = rebuild_proposals(state, minibatch)
+    z_mb = mh_sweep(eta_mb, state.phi, w, z, rows, proposals,
                     rng_for(seed, "z", t, iteration))
     z_rows = split_flat(z_mb, np.cumsum(lengths))
     ms_z = (time.perf_counter() - t0) * 1e3
@@ -161,16 +147,16 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
         raise NumericError("alpha", t, iteration)
 
     if cfg.debug_checks:
-        recheck = accumulate_counts(snap, minibatch)
+        recheck = accumulate_counts(state, minibatch)
         if not recheck.equals(counts):
-            raise AssertionError("snapshot counts were mutated during the iteration")
-    # only the mini-batch rows of eta and z moved: hand them to the next
-    # state, which refreshes just their normalizers
-    nxt = snap.successor(alpha_next, phi_next, minibatch, eta_mb_next, z_rows)
+            raise AssertionError("the blocks wrote into the state before it was advanced")
+    # only the mini-batch rows of eta and z moved; the state refreshes
+    # just their normalizers
+    state.advance(alpha_next, phi_next, minibatch, eta_mb_next, z_rows)
     if cfg.debug_checks:
-        nxt.validate_normalizers()
+        state.validate_normalizers()
 
-    lj = log_joint_proxy(nxt, neighbors_alpha, neighbors_phi, minibatch, hyper)
+    lj = log_joint_proxy(state, neighbors_alpha, neighbors_phi, minibatch, hyper)
     row = {"iteration": iteration, "slice": t,
            "ms_counts": round(ms_counts, 3),
            "ms_eta": round(ms_eta, 3),
@@ -178,7 +164,7 @@ def run_iteration(prev: SliceState, neighbors_alpha: NeighborContext,
            "ms_z": round(ms_z, 3),
            "ms_alpha": round(ms_alpha, 3),
            "log_joint": lj, "eps_eta": eps_eta, "eps_phi": eps_phi}
-    return nxt, counts, row
+    return counts, row
 
 
 def log_joint_proxy(state: SliceState, neighbors_alpha: NeighborContext,
@@ -255,9 +241,8 @@ def train(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig, *,
             phis = {t: sl.phi for t, sl in enumerate(state.slices, start=1)}
             for idx in range(n):
                 nb_alpha, nb_phi = neighbor_contexts(alphas, phis, idx + 1, n)
-                nxt, counts, row = run_iteration(state.slices[idx], nb_alpha,
-                                                 nb_phi, hyper, cfg, i)
-                state.slices[idx] = nxt
+                counts, row = run_iteration(state.slices[idx], nb_alpha,
+                                            nb_phi, hyper, cfg, i)
                 state.counts[idx] = counts
                 metrics.append(row)
                 writer.write(row)

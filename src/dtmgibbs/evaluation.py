@@ -19,8 +19,8 @@ from .kernels import (SgldSchedule, build_alias_table, rng_for, softmax,
                       softmax_rows)
 from .kernels import refill_pool  # noqa: F401 - unused here; perfbench's tracer wraps it
 from .model import Hyperparams, ModelState, SliceState, row_log_norms
-from .samplers import (MhProposalState, grad_log_post_eta, mh_sweep_document,
-                       sgld_update_eta)
+from .samplers import (MhProposalState, build_word_tables, grad_log_post_eta,
+                       mh_sweep_document, sgld_update_eta)
 
 _ONE_DOC = np.zeros(1, dtype=np.int64)
 
@@ -112,13 +112,6 @@ def infer_doc_eta(observed_tokens, phi_t: np.ndarray, alpha_t: np.ndarray,
     return eta
 
 
-def build_word_tables(phi_t: np.ndarray):
-    """Stacked word-proposal tables for a frozen phi (built once, shared)."""
-    from .kernels import build_alias_matrix
-    col_max = phi_t.max(axis=0)
-    return build_alias_matrix(np.exp(phi_t - col_max).T)
-
-
 def perplexity(split: HoldoutSplit, model: ModelState, eval_cfg: EvalConfig) -> PerplexityReport:
     """Score every held-out token under the partially-observed-document scheme.
 
@@ -170,8 +163,10 @@ def top_words(model: ModelState, vocabulary: Vocabulary, t: int, k: int,
               n: int) -> list:
     """Top-n (term, probability) of topic k at slice t, ties broken by word id."""
     sl = model.slices[t - 1]
-    if n > sl.v:
-        raise ValueError(f"n={n} exceeds vocabulary size {sl.v}")
+    if not 0 <= k < sl.k:
+        raise ValueError(f"topic {k} is not in [0, {sl.k})")
+    if not 1 <= n <= sl.v:
+        raise ValueError(f"n={n} is not in [1, vocabulary size {sl.v}]")
     p = softmax(sl.phi[k])
     order = np.lexsort((np.arange(p.shape[0]), -p))[:n]
     return [(vocabulary.terms[int(w)], float(p[w])) for w in order]

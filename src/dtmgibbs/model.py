@@ -1,16 +1,15 @@
 """Model state: per-slice parameters, count matrices, checkpoints.
 
 State is partitioned by time slice; exactly one worker owns a slice.
-Within a worker the sampler blocks read a frozen snapshot of the
-previous iteration and write disjoint fields, so nothing here needs
-locks.
+Within a worker the sampler blocks all read the slice's
+previous-iteration values, and the state is advanced in place once
+they have run, so nothing here needs locks.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,21 +123,12 @@ class SliceState:
     frozen phi scored document by document) to skip their K*V
     exponentials.
 
-    ``successor`` builds the next iteration's state in O(mini-batch):
-    it hands this state's eta, eta normalizers and z list to the
-    successor, which writes its new rows there, and keeps only the rows
-    they replaced.  This state stays readable: its first read of
-    ``eta``, ``eta_log_norm`` or ``z`` afterwards copies its values back
-    out (O(D_t), once), and a successor that is itself advanced first
-    makes such a predecessor copy.  A trainer that drops each state once
-    it has the next one never pays for a copy.  Write into the arrays of
-    the newest state only, and read a state's arrays from the state
-    again after advancing it: an array held from before is the
-    successor's now.
+    ``advance`` moves the state one iteration on, in place and in
+    O(mini-batch).
     """
 
     __slots__ = ("slice_index", "tokens", "alpha", "phi", "phi_log_norm",
-                 "_eta", "_eta_log_norm", "_z", "_handed", "_before", "__weakref__")
+                 "eta", "eta_log_norm", "z")
 
     def __init__(self, slice_index: int, tokens, alpha, phi, eta, z,
                  phi_log_norm=None):
@@ -146,11 +136,9 @@ class SliceState:
         self.tokens = tokens          # list of int32 arrays, shared with the corpus
         self.alpha = alpha            # (K,)
         self.phi = phi                # (K, V)
-        self._eta = eta               # (D_t, K)
-        self._z = z                   # list of int32 arrays, aligned with tokens
-        self._eta_log_norm = np.empty(eta.shape[0])
-        self._handed = None           # (successor, docs, replaced eta, norms, z)
-        self._before = None           # weakref to a predecessor reading our arrays
+        self.eta = eta                # (D_t, K)
+        self.z = z                    # list of int32 arrays, aligned with tokens
+        self.eta_log_norm = np.empty(eta.shape[0])
         self.refresh_eta_norm()
         if phi_log_norm is None:
             self.phi_log_norm = np.empty(phi.shape[0])
@@ -158,63 +146,26 @@ class SliceState:
         else:
             self.phi_log_norm = phi_log_norm
 
-    @property
-    def eta(self) -> np.ndarray:
-        return self._own()._eta
-
-    @property
-    def eta_log_norm(self) -> np.ndarray:
-        return self._own()._eta_log_norm
-
-    @property
-    def z(self) -> list:
-        return self._own()._z
-
-    def _own(self) -> "SliceState":
-        """Take back a private copy of the arrays handed to the successor."""
-        if self._handed is not None:
-            nxt, docs, eta_rows, norm_rows, z_rows = self._handed
-            eta, norms, z = nxt._eta.copy(), nxt._eta_log_norm.copy(), list(nxt._z)
-            eta[docs] = eta_rows
-            norms[docs] = norm_rows
-            for d, zd in zip(docs.tolist(), z_rows):
-                z[d] = zd
-            self._eta, self._eta_log_norm, self._z = eta, norms, z
-            self._handed = None
-            nxt._before = None
-        return self
-
-    def successor(self, alpha, phi, changed_docs, eta_rows, z_rows) -> "SliceState":
-        """The same slice one iteration on: new ``alpha`` and ``phi``, and
+    def advance(self, alpha, phi, changed_docs, eta_rows, z_rows) -> None:
+        """Move this state one iteration on: new ``alpha`` and ``phi``, and
         for the documents ``changed_docs`` the new eta rows ``eta_rows``
         and z arrays ``z_rows``; every other document is unchanged.
 
         Only the changed eta normalizers are recomputed; the result
-        equals ``SliceState(...)`` on the same values bit for bit.
+        equals ``SliceState(...)`` on the same values bit for bit.  The
+        previous alpha, phi and phi normalizer arrays are replaced, not
+        written, so a neighbour still holding them reads the previous
+        iteration's values.
         """
-        self._own()
-        before = self._before() if self._before is not None else None
-        if before is not None:
-            before._own()
         docs = np.asarray(changed_docs, dtype=np.intp).reshape(-1)
-        eta, norms, z = self._eta, self._eta_log_norm, self._z
-        nxt = SliceState.__new__(SliceState)
-        self._handed = (nxt, docs, eta[docs], norms[docs], [z[d] for d in docs.tolist()])
-        self._eta = self._eta_log_norm = self._z = None
-        eta[docs] = eta_rows
+        self.eta[docs] = eta_rows
         for d, zd in zip(docs.tolist(), z_rows):
-            z[d] = zd
-        nxt.slice_index = self.slice_index
-        nxt.tokens = self.tokens
-        nxt.alpha = alpha
-        nxt.phi = phi
-        nxt._eta, nxt._eta_log_norm, nxt._z = eta, norms, z
-        nxt._handed = None
-        nxt._before = weakref.ref(self)
-        nxt.phi_log_norm = np.empty(phi.shape[0])
-        nxt.refresh_eta_norm(docs)
-        nxt.refresh_phi_norm()
-        return nxt
+            self.z[d] = zd
+        self.refresh_eta_norm(docs)
+        self.alpha = alpha
+        self.phi = phi
+        self.phi_log_norm = np.empty(phi.shape[0])
+        self.refresh_phi_norm()
 
     @property
     def n_docs(self) -> int:

@@ -41,6 +41,7 @@ __all__ = [
     "grad_log_post_phi",
     "sgld_update_phi",
     "rebuild_proposals",
+    "build_word_tables",
     "mh_sweep",
     "mh_sweep_document",
     "sample_tokens_exact",
@@ -237,10 +238,14 @@ def rebuild_proposals(slice_state: SliceState, minibatch) -> MhProposalState:
     eta = slice_state.eta[docs]
     doc_prob, doc_alias = build_alias_matrix(
         np.exp(eta - eta.max(axis=1, keepdims=True)))
-    col_max = slice_state.phi.max(axis=0)
-    word_weights = np.exp(slice_state.phi - col_max).T  # (V, K)
-    word_prob, word_alias = build_alias_matrix(word_weights)
+    word_prob, word_alias = build_word_tables(slice_state.phi)
     return MhProposalState(docs, doc_prob, doc_alias, word_prob, word_alias)
+
+
+def build_word_tables(phi: np.ndarray):
+    """(prob, alias) of the V word-proposal tables, stacked (V, K): row w
+    is the alias table over exp(phi[:, w])."""
+    return build_alias_matrix(np.exp(phi - phi.max(axis=0)).T)
 
 
 def mh_sweep(eta, phi, w, z, rows, proposals: MhProposalState,

@@ -7,7 +7,9 @@ result no longer carries every declared name.  ``perfbench/workloads.py``
 passes ``metrics_sink=`` to ``cluster.worker_loop``, and the tracer
 reads ``model.write_slice_checkpoint``'s first two arguments
 positionally and rebinds ``evaluation.infer_doc_eta``.  Its smoke test
-deletes the doc-pool names it wraps and expects each to exist.
+deletes the doc-pool names it wraps and expects each to exist.  Only the
+targets in ``ABSENT_TARGETS`` may be missing, so a moved or renamed
+call site fails here rather than in a traced benchmark run.
 """
 
 import importlib.util
@@ -18,6 +20,15 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# tracer targets the package no longer has, each with why nothing is lost
+ABSENT_TARGETS = {
+    "dtmgibbs.engine.mh_sweep_document":
+        "the engine sweeps a whole mini-batch through mh_sweep; "
+        "evaluation's call site still feeds the sweep metrics",
+    "dtmgibbs.samplers.build_alias_table":
+        "samplers builds every table kind with build_alias_matrix",
+}
 
 
 def load_tracing():
@@ -40,6 +51,7 @@ def test_every_declared_layer_metric_is_reported(tmp_path):
     tracer = tracing.Tracer(tmp_path)
     tracer.install()
     tracer.uninstall()
+    assert tracer.absent_targets == list(ABSENT_TARGETS)
     metrics, absent = tracing.layer_metrics(tracer, [], defaultdict(int), 0.0, 1.0, 1.0)
     assert absent == []
     assert set(metrics) == set(declared)

@@ -206,6 +206,26 @@ class TestTrendsCommand:
         assert lines[0] == "topic,slice,rank,term,probability"
         assert len(lines) == 1 + 2 * 2 * 4  # topics x slices x rank
 
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--topic-ids", "-1", "topic_ids"),
+        ("--topic-ids", "7", "topic_ids"),
+        ("--topic-ids", "0,x", "topic_ids"),
+        ("--top-n", "-2", "top_n"),
+        ("--top-n", "0", "top_n"),
+    ])
+    def test_bad_topic_ids_or_top_n_exit_1(self, tmp_path, corpus_file, capsys,
+                                          flag, value, key):
+        code, trained = run_train(tmp_path, corpus_file)
+        assert code == 0
+        capsys.readouterr()
+        out = tmp_path / "trends"
+        code = main(["trends", "--corpus", str(corpus_file), "--out", str(out),
+                     "--checkpoint", str(trained / "checkpoints"), "--topics", "3",
+                     f"{flag}={value}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} = ")
+        assert not (out / "manifest.json").exists()
+
 
 class TestGenSynthetic:
     def test_generates_loadable_corpus(self, tmp_path):

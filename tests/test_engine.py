@@ -215,12 +215,12 @@ class TestIterationCost:
         monkeypatch.setattr(SliceState, "refresh_eta_norm", refresh)
         monkeypatch.setattr(SliceState, "__init__", init)
         nb_alpha, nb_phi = first_slice_neighbors(4, 30)
-        nxt, counts, _ = run_iteration(prev, nb_alpha, nb_phi, Hyperparams(K=4),
-                                       TrainConfig(minibatch_size=20), 0)
+        counts, _ = run_iteration(prev, nb_alpha, nb_phi, Hyperparams(K=4),
+                                  TrainConfig(minibatch_size=20), 0)
         assert refreshed == [sorted(counts.docs.tolist())]
         assert len(refreshed[0]) == 20
         assert built == []
-        nxt.validate_normalizers()
+        prev.validate_normalizers()
 
     def test_time_flat_across_slice_sizes(self):
         """Mini-batch fixed at 60: an iteration over a 20,000-document
@@ -240,7 +240,7 @@ class TestIterationCost:
             for i in range(10):
                 for d_t, st in states.items():
                     t0 = time.perf_counter()
-                    states[d_t] = run_iteration(st, nb_alpha, nb_phi, hyper, cfg, i)[0]
+                    run_iteration(st, nb_alpha, nb_phi, hyper, cfg, i)
                     best[d_t] = min(best[d_t], time.perf_counter() - t0)
             ratios.append(best[20_000] / best[200])
             if ratios[-1] <= 1.2:
@@ -262,8 +262,8 @@ class TestBlockStreams:
         st = random_slice(60, k=k, v=25, doc_len=8, seed=k)
         nb_alpha, nb_phi = first_slice_neighbors(k, 25)
         for i in range(2):
-            st = run_iteration(st, nb_alpha, nb_phi, Hyperparams(K=k),
-                               TrainConfig(minibatch_size=minibatch), i)[0]
+            run_iteration(st, nb_alpha, nb_phi, Hyperparams(K=k),
+                          TrainConfig(minibatch_size=minibatch), i)
         assert built == [(block, 1, i) for i in range(2)
                          for block in ("minibatch", "eta", "phi", "z", "alpha")]
 

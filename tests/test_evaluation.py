@@ -203,6 +203,12 @@ class TestTopWords:
         with pytest.raises(ValueError):
             top_words(st, corpus.vocabulary, 1, 0, 99)
 
+    @pytest.mark.parametrize("k, n", [(-1, 2), (2, 2), (0, 0), (0, -2)])
+    def test_topic_or_n_out_of_range_rejected(self, k, n):
+        corpus, st = self._state()
+        with pytest.raises(ValueError):
+            top_words(st, corpus.vocabulary, 1, k, n)
+
 
 class TestExportTrends:
     def test_row_count_and_idempotence(self, tmp_path):

@@ -272,25 +272,6 @@ class TestNormalizerCache:
         sl.refresh_eta_norm([])
         np.testing.assert_array_equal(sl.eta_log_norm, before)
 
-    def test_successor_refreshes_only_changed_rows(self):
-        rng = np.random.default_rng(6)
-        docs = [np.zeros(0, dtype=np.int32)] * 30
-        sl = SliceState(1, docs, np.zeros(4), rng.normal(size=(4, 9)),
-                        rng.normal(size=(30, 4)), list(docs))
-        old_eta = sl.eta.copy()
-        eta = sl.eta.copy()
-        eta[[3, 17]] = rng.normal(size=(2, 4)) * 20
-        phi = rng.normal(size=(4, 9))
-        nxt = sl.successor(np.ones(4), phi, [3, 17], eta[[3, 17]], [docs[3], docs[17]])
-        fresh = SliceState(1, docs, np.ones(4), phi, eta, list(docs))
-        np.testing.assert_array_equal(nxt.eta_log_norm, fresh.eta_log_norm)
-        np.testing.assert_array_equal(nxt.phi_log_norm, fresh.phi_log_norm)
-        assert not np.shares_memory(nxt.eta_log_norm, sl.eta_log_norm)
-        assert sl.eta_log_norm[3] != nxt.eta_log_norm[3]   # the parent is untouched
-        np.testing.assert_array_equal(sl.eta, old_eta)
-        np.testing.assert_array_equal(nxt.eta, eta)
-
-
     def test_cache_matches_recompute(self, tmp_path):
         c = make_corpus(tmp_path)
         st = init_state(c, Hyperparams(K=3), seed=0)
@@ -304,32 +285,18 @@ class TestNormalizerCache:
 
 
 def advance(sl, rng, docs):
-    """sl.successor with fresh random eta rows and z arrays for docs."""
-    eta_rows = rng.normal(size=(len(docs), sl.k))
+    """sl.advance with fresh random alpha, phi, and eta rows and z arrays
+    for docs; returns what it passed."""
+    alpha, phi = rng.normal(size=sl.k), rng.normal(size=sl.phi.shape)
+    eta_rows = rng.normal(size=(len(docs), sl.k)) * 20
     z_rows = [rng.integers(0, sl.k, size=len(sl.tokens[d])).astype(np.int32)
               for d in docs]
-    return sl.successor(rng.normal(size=sl.k), rng.normal(size=sl.phi.shape),
-                        docs, eta_rows, z_rows)
+    sl.advance(alpha, phi, docs, eta_rows, z_rows)
+    return alpha, phi, eta_rows, z_rows
 
 
-def values(sl):
-    """Copies of a state's document-level values."""
-    return sl.eta.copy(), sl.eta_log_norm.copy(), [z.copy() for z in sl.z]
-
-
-def assert_values(sl, expected):
-    eta, norms, z = expected
-    np.testing.assert_array_equal(sl.eta, eta)
-    np.testing.assert_array_equal(sl.eta_log_norm, norms)
-    assert len(sl.z) == len(z)
-    for a, b in zip(sl.z, z):
-        np.testing.assert_array_equal(a, b)
-    sl.validate_normalizers()
-
-
-class TestSuccessor:
-    """A successor takes over its predecessor's arrays; every state keeps
-    reading as its own values."""
+class TestAdvance:
+    """A state advanced in place equals a fresh state on its new values."""
 
     @staticmethod
     def slice_state(seed=0, d_t=12, k=3, v=5):
@@ -339,46 +306,55 @@ class TestSuccessor:
         return SliceState(1, tokens, np.zeros(k), rng.normal(size=(k, v)),
                           rng.normal(size=(d_t, k)), z)
 
-    def test_successor_equals_a_fresh_state_and_the_predecessor_is_unchanged(self):
+    def test_equals_a_fresh_state(self):
         rng = np.random.default_rng(1)
-        s0 = self.slice_state()
-        v0 = values(s0)
-        s1 = advance(s0, rng, [7, 2])
-        fresh = SliceState(1, s0.tokens, s1.alpha, s1.phi, s1.eta.copy(), list(s1.z))
-        np.testing.assert_array_equal(s1.eta_log_norm, fresh.eta_log_norm)
-        assert_values(s0, v0)
-        assert not np.shares_memory(s0.eta, s1.eta)
-        unchanged = [d for d in range(s0.n_docs) if d not in (7, 2)]
-        np.testing.assert_array_equal(s1.eta[unchanged], v0[0][unchanged])
+        sl = self.slice_state()
+        eta, z = sl.eta.copy(), list(sl.z)
+        alpha, phi, eta_rows, z_rows = advance(sl, rng, [7, 2])
+        eta[[7, 2]] = eta_rows
+        z[7], z[2] = z_rows
+        fresh = SliceState(1, sl.tokens, alpha, phi, eta, z)
+        assert sl.alpha is alpha and sl.phi is phi
+        np.testing.assert_array_equal(sl.eta, fresh.eta)
+        np.testing.assert_array_equal(sl.eta_log_norm, fresh.eta_log_norm)
+        np.testing.assert_array_equal(sl.phi_log_norm, fresh.phi_log_norm)
+        assert len(sl.z) == len(fresh.z)
+        for a, b in zip(sl.z, fresh.z):
+            np.testing.assert_array_equal(a, b)
+        sl.validate_normalizers()
 
-    def test_chain_with_every_state_alive(self):
-        rng = np.random.default_rng(2)
-        states = [self.slice_state()]
-        expected = [values(states[0])]
-        for step in range(4):
-            states.append(advance(states[-1], rng, [step, step + 5]))
-            expected.append(values(states[-1]))
-        for sl, exp in reversed(list(zip(states, expected))):
-            assert_values(sl, exp)
+    def test_refreshes_only_changed_rows(self, monkeypatch):
+        refreshed = []
+        real = SliceState.refresh_eta_norm
 
-    def test_one_state_advanced_twice(self):
-        rng = np.random.default_rng(3)
-        s0 = self.slice_state()
-        v0 = values(s0)
-        a = advance(s0, rng, [1, 4])
-        va = values(a)
-        b = advance(s0, rng, [4, 9])
-        vb = values(b)
-        assert_values(a, va)
-        assert_values(b, vb)
-        assert_values(s0, v0)
+        def refresh(self, docs=None):
+            refreshed.append(None if docs is None else sorted(int(d) for d in docs))
+            real(self, docs)
 
-    def test_dropped_predecessors_cost_no_copy(self):
-        # a trainer drops each state once it has the next one: every
-        # successor writes into the first state's arrays
+        sl = self.slice_state(d_t=30)
+        monkeypatch.setattr(SliceState, "refresh_eta_norm", refresh)
+        before = sl.eta_log_norm.copy()
+        advance(sl, np.random.default_rng(6), [3, 17])
+        assert refreshed == [[3, 17]]
+        unchanged = [d for d in range(30) if d not in (3, 17)]
+        np.testing.assert_array_equal(sl.eta_log_norm[unchanged], before[unchanged])
+        assert np.all(sl.eta_log_norm[[3, 17]] != before[[3, 17]])
+
+    def test_keeps_its_document_containers(self):
         rng = np.random.default_rng(4)
         sl = self.slice_state()
         eta, norms, z = sl.eta, sl.eta_log_norm, sl.z
         for step in range(3):
-            sl = advance(sl, rng, [step])
+            advance(sl, rng, [step])
         assert sl.eta is eta and sl.eta_log_norm is norms and sl.z is z
+
+    def test_leaves_held_alpha_and_phi_unchanged(self):
+        # a neighbour holds the previous iteration's alpha and phi while
+        # this slice advances; they must still read as they did
+        rng = np.random.default_rng(3)
+        sl = self.slice_state()
+        alpha, phi, phi_norm = sl.alpha, sl.phi, sl.phi_log_norm
+        values = alpha.copy(), phi.copy(), phi_norm.copy()
+        advance(sl, rng, [1, 4])
+        for held, value in zip((alpha, phi, phi_norm), values):
+            np.testing.assert_array_equal(held, value)

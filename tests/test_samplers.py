@@ -288,6 +288,32 @@ class TestSgldUpdates:
         slope = np.polyfit(np.log(ks), np.log(times), 1)[0]
         assert 0.85 <= slope <= 1.15, f"log-log slope {slope:.3f}"
 
+    def test_phi_block_update_cost_linear_in_kv(self):
+        """The engine's form: one gradient and one Langevin call over all
+        K rows.  The sizes are interleaved within each repeat, so a drift
+        in the host's speed touches every size alike.  K*V spans 20k to
+        320k entries, where the cost per entry measured flat on a 2-vCPU
+        host; smaller shapes are dominated by the fixed per-call cost."""
+        v = 1000
+        ks = [20, 40, 80, 160, 320]
+        rng0 = np.random.default_rng(0)
+        inputs = {}
+        for k in ks:
+            counts = rng0.integers(0, 5, size=(k, v))
+            inputs[k] = (rng0.normal(size=(k, v)),
+                         NeighborContext(left=rng0.normal(size=(k, v)),
+                                         right=rng0.normal(size=(k, v))),
+                         counts, counts.sum(axis=1), rng_for(0, "timing", k))
+        best = dict.fromkeys(ks, np.inf)
+        for _ in range(9):
+            for k, (phi, nb, counts, c_k, rng) in inputs.items():
+                t0 = time.perf_counter()
+                g = grad_log_post_phi(phi, nb, counts, c_k, 0.1, 2.0)
+                sgld_update_phi(phi, g, 1e-3, rng)
+                best[k] = min(best[k], time.perf_counter() - t0)
+        slope = np.polyfit(np.log(ks), np.log([best[k] for k in ks]), 1)[0]
+        assert 0.85 <= slope <= 1.15, f"log-log slope {slope:.3f}"
+
 
 class TestProposals:
     def test_doc_table_weights_match_softmax(self):
