@@ -242,6 +242,13 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _top_n(text: str, v: int) -> int:
+    n = int(text)
+    if n > v:
+        raise ValueError(f"must be <= vocabulary size {v}")
+    return n
+
+
 def _topic_ids(text: str, k: int) -> list:
     topics = [int(x) for x in text.split(",")]
     bad = [t for t in topics if not 0 <= t < k]
@@ -261,8 +268,9 @@ def cmd_trends(args) -> int:
     topics = (_setting(picks, "topic_ids", lambda text: _topic_ids(text, hyper.K))
               if args.topic_ids else list(range(hyper.K)))
     top_n = _setting(picks, "top_n", int, 1)
-    write_manifest(out, settings)
     corpus, split = _load_split(settings, split_cfg)
+    _setting(picks, "top_n", lambda text: _top_n(text, corpus.vocabulary.size))
+    write_manifest(out, settings)
     train_corpus = split.train if split is not None else corpus
     ckpt = settings.get("checkpoint") or str(out / "checkpoints")
     model, _, _ = load_checkpoint(ckpt, train_corpus, hyper)

@@ -5,9 +5,10 @@ The on-disk training format is one document per line::
     timestamp-key<TAB>token token token ...
 
 Time slices are the distinct timestamp keys in ascending order (numeric
-when every key parses as an integer, lexicographic otherwise).  All
-types here are immutable after construction and safe to share read-only,
-for example with forked worker processes.
+when every key parses as an integer, with ties such as ``01`` and ``1``
+broken by the key string; lexicographic otherwise).  All types here are
+immutable after construction, token arrays included, and safe to share
+read-only, for example with forked worker processes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +149,7 @@ def build_vocabulary(raw_docs, max_terms: int, stopwords=()) -> Vocabulary:
     stop = set(stopwords)
     counts = Counter()
     for doc in raw_docs:
-        counts.update(t for t in doc if t not in stop)
+        counts.update(filterfalse(stop.__contains__, doc) if stop else doc)
     if not counts:
         raise ValueError("no tokens left after stopword filtering")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -156,7 +158,7 @@ def build_vocabulary(raw_docs, max_terms: int, stopwords=()) -> Vocabulary:
 
 def _sorted_keys(keys):
     try:
-        return sorted(keys, key=int)
+        return sorted(keys, key=lambda k: (int(k), k))
     except ValueError:
         return sorted(keys)
 
@@ -173,6 +175,7 @@ def load_corpus(path, fmt: str = SLICE_PER_LINE, *, vocabulary: Vocabulary | Non
     ``docs.txt`` (``timestamp-key<TAB>id id id ...``); an id outside
     [0, V) there is an error, not a drop.
 
+    Every ``Document.tokens`` is a read-only view of one int32 buffer.
     The load report goes to ``report_sink`` (a callable) or the module
     logger.
     """
@@ -191,7 +194,9 @@ def load_corpus(path, fmt: str = SLICE_PER_LINE, *, vocabulary: Vocabulary | Non
 
 
 def _parse_lines(path: Path):
-    raw = []
+    """(keys, per-line token counts, all tokens in file order) of the
+    non-blank ``key<TAB>tokens`` lines."""
+    keys, counts, flat = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -203,49 +208,55 @@ def _parse_lines(path: Path):
             toks = rest.split()
             if not key or not toks:
                 raise CorpusFormatError(f"{path}:{lineno}: empty key or token list")
-            raw.append((key, toks))
-    if not raw:
+            keys.append(key)
+            counts.append(len(toks))
+            flat.extend(toks)
+    if not keys:
         raise CorpusFormatError(f"{path}: empty corpus")
-    return raw
+    return keys, counts, flat
 
 
-def _group_slices(raw, to_ids):
-    """Group (key, payload) pairs into slices sorted by key; returns slices tuple."""
-    order = {k: i + 1 for i, k in enumerate(_sorted_keys({k for k, _ in raw}))}
+def _group_slices(keys, counts, ids: np.ndarray):
+    """Cut ``ids`` into one read-only document per line (``counts[i]``
+    tokens each) and group the lines into slices sorted by key."""
+    ids.flags.writeable = False
+    ends = np.cumsum(counts).tolist()
+    order = {k: i + 1 for i, k in enumerate(_sorted_keys(set(keys)))}
     grouped: dict[int, list] = {i: [] for i in order.values()}
-    for key, payload in raw:
-        grouped[order[key]].append(payload)
-    slices = []
-    for t in sorted(grouped):
-        docs = tuple(
-            Document(tokens=np.asarray(ids, dtype=np.int32), doc_id=f"{t}:{j}")
-            for j, ids in enumerate(to_ids(grouped[t]))
-        )
-        slices.append(TimeSlice(slice_index=t, docs=docs))
-    return tuple(slices)
+    for key, start, end in zip(keys, [0] + ends[:-1], ends):
+        grouped[order[key]].append(ids[start:end])
+    return tuple(
+        TimeSlice(slice_index=t, docs=tuple(Document(tokens=tokens, doc_id=f"{t}:{j}")
+                                            for j, tokens in enumerate(docs)))
+        for t, docs in grouped.items())
 
 
 def _load_slice_per_line(path, vocabulary, max_terms, stopwords):
-    raw = _parse_lines(path)
-    report = LoadReport(docs_read=len(raw), tokens_read=sum(len(t) for _, t in raw))
+    keys, counts, flat = _parse_lines(path)
+    report = LoadReport(docs_read=len(keys), tokens_read=len(flat))
     if vocabulary is None:
         vocabulary = build_vocabulary(
-            (toks for _, toks in raw),
-            max_terms if max_terms is not None else report.tokens_read,
-            stopwords,
-        )
-    index = vocabulary.index
+            [flat], max_terms if max_terms is not None else report.tokens_read, stopwords)
+    ids = np.fromiter(map(vocabulary.index.get, flat, repeat(-1)),
+                      dtype=np.int32, count=len(flat))
+    known = ids >= 0
+    report.tokens_dropped = len(flat) - int(np.count_nonzero(known))
+    if report.tokens_dropped:
+        counts = np.add.reduceat(known, np.cumsum([0] + counts[:-1]), dtype=np.int64)
+        ids = ids[known]
+    return Corpus(vocabulary=vocabulary, slices=_group_slices(keys, counts, ids)), report
 
-    def to_ids(docs):
-        out = []
-        for toks in docs:
-            ids = [index[t] for t in toks if t in index]
-            report.tokens_dropped += len(toks) - len(ids)
-            out.append(ids)
-        return out
 
-    slices = _group_slices(raw, to_ids)
-    return Corpus(vocabulary=vocabulary, slices=slices), report
+def _first_bad_id(flat, v: int, docs_file):
+    """Raise the format error for the first token in file order that is
+    not an integer id in [0, v)."""
+    for tok in flat:
+        try:
+            wid = int(tok)
+        except ValueError:
+            raise CorpusFormatError(f"{docs_file}: non-integer token id {tok!r}") from None
+        if not 0 <= wid < v:
+            raise CorpusFormatError(f"{docs_file}: unknown token id {wid} (V={v})")
 
 
 def _load_bag_of_words_dir(path: Path):
@@ -258,26 +269,16 @@ def _load_bag_of_words_dir(path: Path):
     vocabulary = Vocabulary.from_terms(terms)
     v = vocabulary.size
 
-    raw = _parse_lines(docs_file)
-    report = LoadReport(docs_read=len(raw), tokens_read=sum(len(t) for _, t in raw))
-
-    def to_ids(docs):
-        out = []
-        for toks in docs:
-            ids = []
-            for tok in toks:
-                try:
-                    wid = int(tok)
-                except ValueError:
-                    raise CorpusFormatError(f"{docs_file}: non-integer token id {tok!r}")
-                if not 0 <= wid < v:
-                    raise CorpusFormatError(f"{docs_file}: unknown token id {wid} (V={v})")
-                ids.append(wid)
-            out.append(ids)
-        return out
-
-    slices = _group_slices(raw, to_ids)
-    return Corpus(vocabulary=vocabulary, slices=slices), report
+    keys, counts, flat = _parse_lines(docs_file)
+    report = LoadReport(docs_read=len(keys), tokens_read=len(flat))
+    try:
+        ids = np.fromiter(map(int, flat), dtype=np.int32, count=len(flat))
+        in_range = bool(np.all((ids >= 0) & (ids < v)))
+    except (ValueError, OverflowError):  # a non-integer, or an id past int32
+        in_range = False
+    if not in_range:
+        _first_bad_id(flat, v, docs_file)
+    return Corpus(vocabulary=vocabulary, slices=_group_slices(keys, counts, ids)), report
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -1,3 +1,6 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -10,6 +13,8 @@ settings.register_profile("dtmgibbs", derandomize=True, deadline=None,
                           max_examples=60, database=None)
 settings.load_profile("dtmgibbs")
 
+from dtmgibbs.corpus import (BAG_OF_WORDS_DIR, Corpus, Document, LoadReport,
+                             TimeSlice, Vocabulary)
 from dtmgibbs.model import Hyperparams
 from dtmgibbs.synthetic import generate_synthetic
 
@@ -63,3 +68,50 @@ def states_equal(a, b) -> bool:
                 and all(np.array_equal(za, zb) for za, zb in zip(x.z, y.z))):
             return False
     return True
+
+
+def load_corpus_long_form(path, fmt="slice-per-line", *, vocabulary=None,
+                          max_terms=None, stopwords=()):
+    """``(corpus, report)`` of ``load_corpus`` written the long way, one
+    line and one token at a time: an oracle for the bulk loader.  Assumes
+    a well-formed file."""
+    path = Path(path)
+    if fmt == BAG_OF_WORDS_DIR:
+        with open(path / "vocab.txt", encoding="utf-8") as fh:
+            vocabulary = Vocabulary.from_terms(ln.strip() for ln in fh if ln.strip())
+        path = path / "docs.txt"
+    raw = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line:
+                key, rest = line.split("\t", 1)
+                raw.append((key, rest.split()))
+    report = LoadReport(docs_read=len(raw), tokens_read=sum(len(t) for _, t in raw))
+    if fmt == BAG_OF_WORDS_DIR:
+        docs = [(key, [int(t) for t in toks]) for key, toks in raw]
+    else:
+        if vocabulary is None:
+            stop = set(stopwords)
+            counts = Counter()
+            for _, toks in raw:
+                counts.update(t for t in toks if t not in stop)
+            ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+            cap = max_terms if max_terms is not None else report.tokens_read
+            vocabulary = Vocabulary.from_terms(t for t, _ in ranked[:cap])
+        docs = []
+        for key, toks in raw:
+            ids = [vocabulary.index[t] for t in toks if t in vocabulary.index]
+            report.tokens_dropped += len(toks) - len(ids)
+            docs.append((key, ids))
+    keys = {key for key, _ in raw}
+    try:
+        keys = sorted(keys, key=lambda k: (int(k), k))
+    except ValueError:
+        keys = sorted(keys)
+    slices = []
+    for t, key in enumerate(keys, start=1):
+        ids_of_key = [ids for k, ids in docs if k == key]
+        slices.append(TimeSlice(t, tuple(Document(np.asarray(ids, dtype=np.int32), f"{t}:{j}")
+                                         for j, ids in enumerate(ids_of_key))))
+    return Corpus(vocabulary, tuple(slices)), report

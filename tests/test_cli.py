@@ -212,6 +212,7 @@ class TestTrendsCommand:
         ("--topic-ids", "0,x", "topic_ids"),
         ("--top-n", "-2", "top_n"),
         ("--top-n", "0", "top_n"),
+        ("--top-n", "99", "top_n"),
     ])
     def test_bad_topic_ids_or_top_n_exit_1(self, tmp_path, corpus_file, capsys,
                                           flag, value, key):

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from conftest import load_corpus_long_form
 
 from dtmgibbs.corpus import (BAG_OF_WORDS_DIR, CorpusFormatError, LoadReport,
-                             build_vocabulary, load_corpus, save_corpus,
-                             split_holdout)
+                             Vocabulary, build_vocabulary, load_corpus,
+                             save_corpus, split_holdout)
 
 
 class TestBuildVocabulary:
@@ -96,6 +101,34 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="unknown token id"):
             load_corpus(d, BAG_OF_WORDS_DIR)
 
+    @pytest.mark.parametrize("ids, message", [
+        ("0 x", "non-integer token id 'x'"),
+        ("0 -1", r"unknown token id -1 \(V=2\)"),
+        ("0 7 x", r"unknown token id 7 \(V=2\)"),
+        ("0 x 7", "non-integer token id 'x'"),
+    ])
+    def test_bag_of_words_first_bad_token_decides_error(self, tmp_path, ids, message):
+        d = tmp_path / "bow"
+        d.mkdir()
+        (d / "vocab.txt").write_text("apple\nbanana\n", encoding="utf-8")
+        (d / "docs.txt").write_text(f"1\t0 1\n2\t{ids}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=message):
+            load_corpus(d, BAG_OF_WORDS_DIR)
+
+    def test_equal_integer_keys_ordered_by_string(self, tmp_path):
+        """Keys equal as integers stay distinct slices, ordered by the key
+        string, under any hash seed."""
+        p = tmp_path / "ties.txt"
+        p.write_text("1\tone\n01\tzero-one\n001\tzero-zero-one\n", encoding="utf-8")
+        script = ("import sys; from dtmgibbs.corpus import load_corpus; "
+                  "c = load_corpus(sys.argv[1]); "
+                  "print(' '.join(c.vocabulary.terms[s.docs[0].tokens[0]] for s in c.slices))")
+        for hash_seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+            out = subprocess.run([sys.executable, "-c", script, str(p)], env=env,
+                                 capture_output=True, text=True, check=True).stdout
+            assert out.split() == ["zero-zero-one", "zero-one", "one"]
+
     def test_round_trip(self, tmp_path):
         p = tmp_path / "orig.txt"
         p.write_text("2\tb c b\n1\ta a b\n1\tc\n", encoding="utf-8")
@@ -104,6 +137,79 @@ class TestLoadCorpus:
         save_corpus(c1, out)
         c2 = load_corpus(out)
         assert c1 == c2
+
+
+TERMS = ("apple", "banana", "cherry", "date", "elder", "fig", "grape", "hop")
+UNICODE_TERMS = ("café", "naïve", "日本", "straße", "ωμέγα", "emoji-🙂", "x")
+
+
+def _write_random_corpus(path, rng, keys, terms, *, n_docs=40, messy=False,
+                         oov_doc=None):
+    """A seeded random slice-per-line file; ``messy`` adds blank lines,
+    CRLF endings and tabs inside the token lists; ``oov_doc`` is a line
+    appended with every token from that list."""
+    lines = []
+    for _ in range(n_docs):
+        toks = [terms[i] for i in rng.integers(0, len(terms), size=rng.integers(1, 12))]
+        sep = "\t" if messy and rng.random() < 0.3 else " "
+        lines.append(f"{keys[rng.integers(0, len(keys))]}\t{sep.join(toks)}")
+        if messy and rng.random() < 0.2:
+            lines.append("")
+    if oov_doc is not None:
+        lines.append(f"{keys[0]}\t{' '.join(oov_doc)}")
+    end = "\r\n" if messy else "\n"
+    path.write_bytes(end.join(lines).encode("utf-8") + end.encode())
+
+
+CASES = {
+    "plain": {},
+    "stopwords": {"stopwords": {"banana", "fig"}},
+    "max_terms": {"max_terms": 3},
+    "explicit_vocab_oov": {"vocabulary": ("cherry", "apple", "hop"),
+                           "oov_doc": ("banana", "date")},
+    "messy_lines": {"messy": True},
+    "unicode": {"terms": UNICODE_TERMS},
+    "text_keys": {"keys": ("beta", "alpha", "gamma", "10")},
+    "bag_of_words": {"fmt": BAG_OF_WORDS_DIR},
+}
+
+
+class TestLoadMatchesLongForm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_oracle(self, tmp_path, case, seed):
+        opts = dict(CASES[case])
+        rng = np.random.default_rng(seed)
+        fmt = opts.pop("fmt", "slice-per-line")
+        keys = opts.pop("keys", ("3", "1", "12", "2"))
+        terms = opts.pop("terms", TERMS)
+        kwargs = {}
+        if fmt == BAG_OF_WORDS_DIR:
+            path = tmp_path / "bow"
+            path.mkdir()
+            (path / "vocab.txt").write_text("\n".join(terms) + "\n", encoding="utf-8")
+            _write_random_corpus(path / "docs.txt", rng, keys,
+                                 [str(i) for i in range(len(terms))], **opts)
+        else:
+            path = tmp_path / "c.txt"
+            vocab = opts.pop("vocabulary", None)
+            kwargs = {k: opts.pop(k) for k in ("stopwords", "max_terms") if k in opts}
+            if vocab is not None:
+                kwargs["vocabulary"] = Vocabulary.from_terms(vocab)
+            _write_random_corpus(path, rng, keys, terms, **opts)
+        reports = []
+        got = load_corpus(path, fmt, report_sink=reports.append, **kwargs)
+        want, want_report = load_corpus_long_form(path, fmt, **kwargs)
+        assert got == want
+        assert reports == [want_report]
+        docs = [d for sl in got.slices for d in sl.docs]
+        assert all(d.tokens.dtype == np.int32 and not d.tokens.flags.writeable
+                   for d in docs)
+        if "max_terms" in kwargs:
+            assert got.vocabulary.size == kwargs["max_terms"] < len(terms)
+        if case == "explicit_vocab_oov":
+            assert want_report.tokens_dropped > 0
+            assert any(len(d) == 0 for d in docs)
 
 
 class TestSplitHoldout:
