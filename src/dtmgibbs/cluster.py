@@ -18,25 +18,34 @@ of slices, joined by one TCP connection per adjacent pair;
 Wire format::
 
     magic    4s   "DTMB"
-    version  u8   2
-    kind     u8   0 alpha, 1 phi, 2 ack, 3 nack, 4 hello, 5 hello-ok,
-                  6 hello-mismatch, 7 metrics, 8 done
+    version  u8   3
+    kind     u8   4 hello, 5 hello-ok, 6 hello-mismatch, 7 metrics, 8 done,
+                  9 boundary
     iter     u32
     from     i32  sending slice/worker id
     ndim     u8
     dims     u32 * ndim
     nbytes   u32
-    payload  nbytes bytes (f8 little-endian for alpha/phi, utf-8 otherwise)
+    payload  nbytes bytes (f8 little-endian for boundary, utf-8 otherwise)
     crc      u32  CRC-32 of every byte before it, header included
 
-Socket framing adds a u32 length prefix per frame.
+Socket framing adds a u32 length prefix per frame.  Kinds 0-3 (version
+2's separate alpha and phi frames and their ack and nack) are retired.
+A boundary frame has dims ``(K, V)`` and carries ``K + K*V`` values,
+alpha first and then phi row by row; each adjacent pair sends one per
+direction per iteration, with no reply.
+
+``decode_frame`` raises ``ProtocolError`` on any malformed frame,
+checksum mismatches included, so every receiver (boundary exchange,
+peer hello, coordinator) fails fast, naming the peer; nothing is
+retried.  TCP delivers the bytes in order; the CRC catches corruption.
 
 Every TCP socket the package dials or accepts sets ``TCP_NODELAY``
-(``configure_socket``).  The exchange is stop-and-wait: each frame
-waits for a small ack before the next one goes out.  With Nagle's
-algorithm on, a frame's last partial segment is held until the
-previous segment is acknowledged, and the receiver delays that ACK
-(about 40 ms on Linux), so every frame would stall for a delayed ACK.
+(``configure_socket``).  With Nagle's algorithm on, a frame's last
+partial segment may be held until the segments before it are
+acknowledged, and the receiver may delay that ACK (about 40 ms on
+Linux), while the peer cannot take its next step before the whole
+frame has arrived.
 
 A timeout, reset or broken pipe on a socket surfaces as
 ``PeerDisconnected`` naming this worker and the peer.
@@ -58,17 +67,15 @@ from .engine import TrainConfig, neighbor_contexts, run_iteration
 from .model import Hyperparams, ModelState, accumulate_counts, init_slice_state
 
 MAGIC = b"DTMB"
-VERSION = 2
+VERSION = 3
 
-KIND_ALPHA = 0
-KIND_PHI = 1
-KIND_ACK = 2
-KIND_NACK = 3
+KIND_NACK = 3    # retired, never sent; kept for the benchmark tracer's nack count
 KIND_HELLO = 4
 KIND_HELLO_OK = 5
 KIND_HELLO_MISMATCH = 6
 KIND_METRICS = 7
 KIND_DONE = 8
+KIND_BOUNDARY = 9
 
 _HEAD = struct.Struct("<4sBBIiB")
 DEFAULT_TIMEOUT = 120.0
@@ -82,27 +89,20 @@ class PeerDisconnected(ProtocolError):
     pass
 
 
-@dataclass(frozen=True)
-class BoundaryMessage:
-    """One parameter payload exchanged between adjacent workers."""
-
-    iteration: int
-    slice_from: int
-    kind: int                 # KIND_ALPHA or KIND_PHI
-    payload: np.ndarray       # (K,) or (K, V) float64
-
-    def encode(self) -> bytes:
-        return encode_frame(self.kind, self.iteration, self.slice_from,
-                            np.ascontiguousarray(self.payload, dtype="<f8").tobytes(),
-                            dims=self.payload.shape)
-
-
 def encode_frame(kind: int, iteration: int, sender: int, payload: bytes = b"",
                  dims=()) -> bytes:
-    head = _HEAD.pack(MAGIC, VERSION, kind, iteration, sender, len(dims))
-    dim_bytes = struct.pack(f"<{len(dims)}I", *dims) if dims else b""
-    body = head + dim_bytes + struct.pack("<I", len(payload)) + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    head = (_HEAD.pack(MAGIC, VERSION, kind, iteration, sender, len(dims))
+            + struct.pack(f"<{len(dims) + 1}I", *dims, len(payload)))
+    crc = zlib.crc32(payload, zlib.crc32(head))
+    return b"".join((head, payload, struct.pack("<I", crc)))
+
+
+def encode_boundary(iteration: int, sender: int, alpha: np.ndarray,
+                    phi: np.ndarray) -> bytes:
+    """One boundary frame: dims (K, V), alpha then phi as f8 values."""
+    values = np.concatenate((alpha, phi.ravel())).astype("<f8", copy=False)
+    return encode_frame(KIND_BOUNDARY, iteration, sender, values.tobytes(),
+                        dims=phi.shape)
 
 
 @dataclass
@@ -112,40 +112,33 @@ class Frame:
     sender: int
     dims: tuple
     payload: bytes
-    crc_ok: bool
-
-    def array(self) -> np.ndarray:
-        arr = np.frombuffer(self.payload, dtype="<f8").astype(np.float64)
-        return arr.reshape(self.dims) if self.dims else arr
 
     def text(self) -> str:
         return self.payload.decode("utf-8")
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Parse one frame; a frame whose length disagrees with its header
-    raises ProtocolError, a checksum mismatch sets ``crc_ok`` False."""
+def decode_frame(data: bytes, who: str) -> Frame:
+    """Parse one frame.  A frame whose length disagrees with its header
+    or whose checksum does not match raises ProtocolError naming ``who``."""
     if len(data) < _HEAD.size:
-        raise ProtocolError(f"truncated frame ({len(data)} bytes)")
+        raise ProtocolError(f"{who}: truncated frame ({len(data)} bytes)")
     magic, version, kind, iteration, sender, ndim = _HEAD.unpack_from(data, 0)
     if magic != MAGIC:
-        raise ProtocolError("bad magic bytes in frame")
+        raise ProtocolError(f"{who}: bad magic bytes in frame")
     if version != VERSION:
-        raise ProtocolError(f"unsupported frame version {version}")
+        raise ProtocolError(f"{who}: unsupported frame version {version}")
     off = _HEAD.size
     if len(data) < off + 4 * ndim + 4:
-        raise ProtocolError(f"truncated frame ({len(data)} bytes)")
-    dims = struct.unpack_from(f"<{ndim}I", data, off) if ndim else ()
-    off += 4 * ndim
-    (nbytes,) = struct.unpack_from("<I", data, off)
-    off += 4
+        raise ProtocolError(f"{who}: truncated frame ({len(data)} bytes)")
+    *dims, nbytes = struct.unpack_from(f"<{ndim + 1}I", data, off)
+    off += 4 * (ndim + 1)
     if len(data) != off + nbytes + 4:
-        raise ProtocolError(f"frame of {len(data)} bytes declares a "
+        raise ProtocolError(f"{who}: frame of {len(data)} bytes declares a "
                             f"{nbytes}-byte payload")
-    payload = data[off:off + nbytes]
     (crc,) = struct.unpack_from("<I", data, off + nbytes)
-    return Frame(kind, iteration, sender, dims, payload,
-                 crc_ok=(zlib.crc32(memoryview(data)[:off + nbytes]) == crc))
+    if zlib.crc32(memoryview(data)[:off + nbytes]) != crc:
+        raise ProtocolError(f"{who}: checksum mismatch in a kind-{kind} frame")
+    return Frame(kind, iteration, sender, tuple(dims), data[off:off + nbytes])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +146,8 @@ def decode_frame(data: bytes) -> Frame:
 # ---------------------------------------------------------------------------
 
 def configure_socket(conn: socket.socket, timeout: float) -> socket.socket:
-    """Give ``conn`` its blocking timeout and, on TCP, ``TCP_NODELAY``.
+    """Give ``conn`` its blocking timeout and, on TCP, ``TCP_NODELAY``, so
+    a frame's last partial segment is not held back by Nagle's algorithm.
 
     Other families (the AF_UNIX socketpairs of the tests) have no Nagle
     algorithm and no such option.
@@ -283,39 +277,30 @@ def _recv_bytes(conn: socket.socket, who: str) -> bytearray:
 
 
 def recv_frame(conn: socket.socket, who: str) -> Frame:
-    return decode_frame(_recv_bytes(conn, who))
+    return decode_frame(_recv_bytes(conn, who), who)
 
 
 # ---------------------------------------------------------------------------
 # Boundary exchange
 # ---------------------------------------------------------------------------
 
-def _send_with_ack(transport, to_id: int, msg: BoundaryMessage) -> None:
-    data = msg.encode()
-    for attempt in range(2):
-        transport.send(to_id, data)
-        reply = decode_frame(transport.recv(to_id))
-        if reply.kind == KIND_ACK:
-            return
-        if reply.kind != KIND_NACK:
-            raise ProtocolError(f"expected ack/nack, got kind {reply.kind}")
-    raise ProtocolError(f"peer {to_id} rejected frame twice (checksum)")
-
-
-def _recv_with_retry(transport, from_id: int, expect_kind: int, iteration: int,
-                     my_id: int) -> Frame:
-    for attempt in range(2):
-        frame = decode_frame(transport.recv(from_id))
-        if not frame.crc_ok:
-            transport.send(from_id, encode_frame(KIND_NACK, iteration, my_id))
-            continue
-        transport.send(from_id, encode_frame(KIND_ACK, iteration, my_id))
-        if frame.kind != expect_kind:
-            raise ProtocolError(f"expected frame kind {expect_kind}, got {frame.kind}")
-        if frame.iteration != iteration:
-            raise ProtocolError(f"iteration mismatch: header {frame.iteration}, local {iteration}")
-        return frame
-    raise ProtocolError(f"checksum failure from {from_id} after one retransmit")
+def recv_boundary(transport, worker_id: int, peer: int, iteration: int) -> tuple:
+    """(alpha, phi) from ``peer``'s boundary frame for ``iteration``; any
+    other frame is a ProtocolError naming the peer."""
+    who = f"worker {worker_id} <- {peer}"
+    frame = decode_frame(transport.recv(peer), who)
+    if frame.kind != KIND_BOUNDARY:
+        raise ProtocolError(f"{who}: expected a boundary frame, got kind {frame.kind}")
+    if frame.iteration != iteration:
+        raise ProtocolError(f"{who}: iteration mismatch: header {frame.iteration}, "
+                            f"local {iteration}")
+    dims = frame.dims
+    if len(dims) != 2 or len(frame.payload) != 8 * dims[0] * (1 + dims[1]):
+        raise ProtocolError(f"{who}: boundary frame of {len(frame.payload)} bytes "
+                            f"has dims {dims}")
+    k, v = dims
+    values = np.frombuffer(frame.payload, dtype="<f8").astype(np.float64)
+    return values[:k], values[k:].reshape(k, v)
 
 
 def exchange_boundaries(transport, worker_id: int, iteration: int,
@@ -325,33 +310,29 @@ def exchange_boundaries(transport, worker_id: int, iteration: int,
     """Swap (alpha, phi) payloads with the adjacent workers.
 
     ``send_left``/``send_right`` are (slice_index, alpha, phi) tuples
-    destined for the respective peer.  Even-indexed workers send first
-    then receive; odd-indexed do the reverse, which keeps any chain
-    deadlock-free.  Returns {'left': (alpha, phi) | None, 'right': ...}
-    holding the peers' previous-iteration values.
+    destined for the respective peer; each goes out as one boundary
+    frame.  Even-indexed workers send first then receive; odd-indexed
+    do the reverse.  Where ids alternate in parity along the chain, as
+    ``default_topology`` numbers them, every send meets a receiving peer
+    and the chain cannot deadlock even when a frame exceeds the socket
+    buffers.
+    Returns {'left': (alpha, phi) | None, 'right': ...} holding the
+    peers' previous-iteration values.
 
-    A corrupted frame is re-requested once (nack) and then fatal; an
-    iteration mismatch in a header is immediately fatal.
+    A corrupt or truncated frame, a frame of another kind and an
+    iteration mismatch are all immediately fatal (ProtocolError).
     """
     received = {"left": None, "right": None}
 
     def do_send():
         for peer, load in ((left_peer, send_left), (right_peer, send_right)):
-            if peer is None:
-                continue
-            slice_index, alpha, phi = load
-            _send_with_ack(transport, peer,
-                           BoundaryMessage(iteration, slice_index, KIND_ALPHA, alpha))
-            _send_with_ack(transport, peer,
-                           BoundaryMessage(iteration, slice_index, KIND_PHI, phi))
+            if peer is not None:
+                transport.send(peer, encode_boundary(iteration, *load))
 
     def do_recv():
         for side, peer in (("left", left_peer), ("right", right_peer)):
-            if peer is None:
-                continue
-            a = _recv_with_retry(transport, peer, KIND_ALPHA, iteration, worker_id)
-            p = _recv_with_retry(transport, peer, KIND_PHI, iteration, worker_id)
-            received[side] = (a.array(), p.array())
+            if peer is not None:
+                received[side] = recv_boundary(transport, worker_id, peer, iteration)
 
     if worker_id % 2 == 0:
         do_send()

@@ -265,7 +265,12 @@ def _load_bag_of_words_dir(path: Path):
     if not vocab_file.is_file() or not docs_file.is_file():
         raise CorpusFormatError(f"{path}: expected vocab.txt and docs.txt")
     with open(vocab_file, "r", encoding="utf-8") as fh:
-        terms = [ln.strip() for ln in fh if ln.strip()]
+        terms = [ln.strip() for ln in fh]
+    while terms and not terms[-1]:   # trailing blank lines assign no id
+        terms.pop()
+    if "" in terms:
+        raise CorpusFormatError(f"{vocab_file}:{terms.index('') + 1}: blank line "
+                                f"before a term (line number = id)")
     vocabulary = Vocabulary.from_terms(terms)
     v = vocabulary.size
 

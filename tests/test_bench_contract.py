@@ -6,7 +6,9 @@ renamed or deleted target leaves a metric absent, and a traced run's
 result no longer carries every declared name.  ``perfbench/workloads.py``
 passes ``metrics_sink=`` to ``cluster.worker_loop``, and the tracer
 reads ``model.write_slice_checkpoint``'s first two arguments
-positionally and rebinds ``evaluation.infer_doc_eta``.  Its smoke test
+positionally and rebinds ``evaluation.infer_doc_eta``.  Its send
+counter reads ``SocketTransport.send``'s ``data`` and compares the
+frame's kind byte (offset 5) with ``cluster.KIND_NACK``.  Its smoke test
 deletes the doc-pool names it wraps and expects each to exist.  Only the
 targets in ``ABSENT_TARGETS`` may be missing, so a moved or renamed
 call site fails here rather than in a traced benchmark run.
@@ -18,6 +20,8 @@ import json
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,6 +73,12 @@ def test_entry_points_the_benchmark_calls():
                          (samplers, "refill_pool"), (kernels, "refill_pool"),
                          (evaluation, "refill_pool")):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    # the tracer's send counter: SocketTransport.send(to_id, data), the
+    # kind byte at offset 5 of the data, compared with cluster.KIND_NACK
+    assert isinstance(cluster.KIND_NACK, int)
+    assert list(inspect.signature(cluster.SocketTransport.send).parameters)[2] == "data"
+    frame = cluster.encode_boundary(0, 1, np.zeros(2), np.zeros((2, 3)))
+    assert frame[5] == cluster.KIND_BOUNDARY != cluster.KIND_NACK
 
 
 def test_traced_run_keeps_every_counter(tmp_path):

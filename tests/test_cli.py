@@ -412,6 +412,49 @@ class TestWorkerCoordinator:
         assert errors[0].startswith("peer error: worker 2 <- 1:"), errors
         assert "Traceback" not in worker.stderr
 
+    def test_corrupt_metrics_frame_exit_4(self, tmp_path):
+        import socket
+        import time
+
+        from dtmgibbs.cluster import (KIND_HELLO, KIND_HELLO_OK, KIND_METRICS,
+                                      encode_frame, free_ports, parse_topology,
+                                      recv_frame, send_frame)
+        w1, coord = free_ports(2)
+        topo = tmp_path / "topo.txt"
+        write_topology(topo, [w1], coord)
+        checksum = str(parse_topology(topo).checksum()).encode()
+        # the payload ends in the digit 0; flipping its low bit leaves valid JSON
+        metrics = bytearray(encode_frame(KIND_METRICS, 0, 1, b'{"iteration": 0}'))
+        metrics[-6] ^= 0x01
+        coordinator = subprocess.Popen(
+            RUNNER + ["coordinator", "--topology", str(topo),
+                      "--out", str(tmp_path / "coord")],
+            stderr=subprocess.PIPE, text=True)
+        try:
+            for _ in range(100):   # the coordinator may still be starting up
+                try:
+                    conn = socket.create_connection(("127.0.0.1", coord), timeout=10)
+                    break
+                except OSError:
+                    time.sleep(0.1)
+            else:
+                pytest.fail("coordinator never listened")
+            with conn:   # worker 1, as far as the coordinator can tell
+                send_frame(conn, encode_frame(KIND_HELLO, 0, 1, checksum), "worker 1")
+                assert recv_frame(conn, "worker 1").kind == KIND_HELLO_OK
+                send_frame(conn, bytes(metrics), "worker 1")
+                _, err = coordinator.communicate(timeout=60)
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.wait()
+        assert coordinator.returncode == 4, err
+        errors = [ln for ln in err.splitlines() if ln.startswith("peer error:")]
+        assert len(errors) == 1, err
+        assert errors[0].startswith("peer error: coordinator <- worker 1: checksum "
+                                    "mismatch"), errors
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_parse_comments_and_spacing(self, tmp_path):

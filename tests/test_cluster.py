@@ -10,12 +10,12 @@ import pytest
 from conftest import states_equal
 
 from dtmgibbs import cluster, model
-from dtmgibbs.cluster import (KIND_ALPHA, KIND_PHI, BoundaryMessage,
-                              PeerDisconnected, ProtocolError,
-                              SocketTransport, Topology,
-                              _adjacency, _recv_with_retry, decode_frame,
-                              default_topology, exchange_boundaries,
-                              parse_topology, run_distributed_sockets,
+from dtmgibbs.cluster import (KIND_BOUNDARY, KIND_DONE, PeerDisconnected,
+                              ProtocolError, SocketTransport, Topology,
+                              _adjacency, decode_frame, default_topology,
+                              encode_boundary, encode_frame,
+                              exchange_boundaries, parse_topology,
+                              recv_boundary, run_distributed_sockets,
                               worker_loop)
 from dtmgibbs.engine import TrainConfig, train
 from dtmgibbs.model import Hyperparams, init_state
@@ -27,65 +27,56 @@ TIMEOUT = 10.0
 
 class TestFrames:
     def test_round_trip(self):
-        payload = np.arange(12, dtype=float).reshape(3, 4)
-        msg = BoundaryMessage(iteration=5, slice_from=2, kind=KIND_PHI,
-                              payload=payload)
-        frame = decode_frame(msg.encode())
-        assert frame.kind == KIND_PHI
+        alpha = np.array([0.5, -1.0, 2.0])
+        phi = np.arange(12, dtype=float).reshape(3, 4)
+        frame = decode_frame(encode_boundary(5, 2, alpha, phi), "test")
+        assert frame.kind == KIND_BOUNDARY
         assert frame.iteration == 5 and frame.sender == 2
-        assert frame.crc_ok
-        np.testing.assert_array_equal(frame.array(), payload)
+        assert frame.dims == (3, 4)
+        values = np.frombuffer(frame.payload, dtype="<f8")
+        np.testing.assert_array_equal(values, np.concatenate((alpha, phi.ravel())))
 
     def test_corruption_detected(self):
-        msg = BoundaryMessage(1, 1, KIND_ALPHA, np.ones(4))
-        data = bytearray(msg.encode())
+        data = bytearray(encode_boundary(1, 1, np.ones(2), np.ones((2, 3))))
         data[-12] ^= 0xFF  # flip a payload byte
-        assert not decode_frame(bytes(data)).crc_ok
+        with pytest.raises(ProtocolError, match="test: checksum mismatch"):
+            decode_frame(bytes(data), "test")
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ProtocolError):
-            decode_frame(b"XXXX" + b"\x00" * 32)
+            decode_frame(b"XXXX" + b"\x00" * 32, "test")
 
 
 class _Counting:
-    """Transport wrapper tallying boundary payload frames."""
+    """Transport wrapper tallying boundary frames."""
 
     def __init__(self, inner, log):
         self.inner = inner
         self.log = log
 
     def send(self, to_id, data):
-        frame = decode_frame(data)
-        if frame.kind in (KIND_ALPHA, KIND_PHI):
-            self.log.append((self.inner.worker_id, to_id, frame.kind,
-                             len(frame.payload)))
+        frame = decode_frame(data, "sent")
+        if frame.kind == KIND_BOUNDARY:
+            self.log.append((self.inner.worker_id, to_id, len(frame.payload)))
         self.inner.send(to_id, data)
 
     def recv(self, from_id):
         return self.inner.recv(from_id)
 
 
-class _CorruptOnce:
-    """Flips a payload byte of the first alpha frame it delivers."""
+class _Corrupting:
+    """Flips a payload byte of every frame it delivers."""
 
-    def __init__(self, inner, always=False):
+    def __init__(self, inner):
         self.inner = inner
-        self.done = False
-        self.always = always
-        self.worker_id = inner.worker_id
 
     def send(self, to_id, data):
         self.inner.send(to_id, data)
 
     def recv(self, from_id):
-        data = self.inner.recv(from_id)
-        frame = decode_frame(data)
-        if frame.kind == KIND_ALPHA and (self.always or not self.done):
-            self.done = True
-            mangled = bytearray(data)
-            mangled[-8] ^= 0xFF
-            return bytes(mangled)
-        return data
+        mangled = bytearray(self.inner.recv(from_id))
+        mangled[-8] ^= 0xFF
+        return mangled
 
 
 def _socketpair_transports(assignment):
@@ -181,25 +172,72 @@ class TestExchange:
         a, p = out[2]["left"]
         np.testing.assert_array_equal(p, np.ones((3, 4)))
 
-    def test_corrupted_frame_retransmitted_once(self):
-        out, errs = _pair_exchange(_CorruptOnce)
-        assert not errs
-        np.testing.assert_array_equal(out[2]["left"][0], np.ones(3))
-
-    def test_persistent_corruption_fails(self):
-        out, errs = _pair_exchange(lambda tr: _CorruptOnce(tr, always=True))
-        assert 2 in errs and isinstance(errs[2], ProtocolError)
+    def test_corrupted_frame_fails_naming_the_peer(self):
+        out, errs = _pair_exchange(_Corrupting)
+        assert list(errs) == [2], errs
+        assert isinstance(errs[2], ProtocolError)
+        assert str(errs[2]).startswith("worker 2 <- 1: checksum mismatch"), errs[2]
 
     def test_iteration_mismatch_is_protocol_error(self):
         transports = _socketpair_transports({1: [1], 2: [2]})
         sender, receiver = transports[1], transports[2]
         try:
-            sender.send(2, BoundaryMessage(9, 1, KIND_ALPHA, np.zeros(2)).encode())
-            with pytest.raises(ProtocolError, match="iteration mismatch"):
-                _recv_with_retry(receiver, 1, KIND_ALPHA, 3, 2)
+            sender.send(2, encode_boundary(9, 1, np.zeros(2), np.zeros((2, 3))))
+            with pytest.raises(ProtocolError, match="worker 2 <- 1: iteration mismatch"):
+                recv_boundary(receiver, 2, 1, 3)
         finally:
             sender.close()
             receiver.close()
+
+    def test_other_kind_is_protocol_error(self):
+        transports = _socketpair_transports({1: [1], 2: [2]})
+        sender, receiver = transports[1], transports[2]
+        try:
+            sender.send(2, encode_frame(KIND_DONE, 3, 1))
+            with pytest.raises(ProtocolError, match="expected a boundary frame"):
+                recv_boundary(receiver, 2, 1, 3)
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_chain_with_frames_beyond_socket_buffers_does_not_deadlock(self):
+        # no acks pace the senders: the even/odd order alone must keep a
+        # chain moving when one frame (K + K*V f8 values, 1.6 MB) is far
+        # larger than a socketpair's buffer
+        k, v, rounds, workers = 50, 4000, 3, (1, 2, 3, 4)
+        assignment = {w: [w] for w in workers}
+        adjacency = _adjacency(assignment)
+        transports = _socketpair_transports(assignment)
+        assert transports[1]._conns[2].getsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF) < 8 * (k + k * v)
+        rng = np.random.default_rng(0)
+        loads = {w: (w, rng.normal(size=k), rng.normal(size=(k, v))) for w in workers}
+
+        def job(w):
+            left, right = adjacency[w]
+            sides = dict(send_left=loads[w] if left else None,
+                         send_right=loads[w] if right else None,
+                         left_peer=left, right_peer=right)
+            return lambda: [exchange_boundaries(transports[w], w, i, **sides)
+                            for i in range(rounds)][-1]
+
+        try:
+            t0 = time.monotonic()
+            out, errs = _on_threads({w: job(w) for w in workers})
+            elapsed = time.monotonic() - t0
+        finally:
+            for tr in transports.values():
+                tr.close()
+        assert not errs, errs
+        assert elapsed < TIMEOUT, f"{elapsed:.1f} s for {rounds} rounds"
+        for w in workers:
+            left, right = adjacency[w]
+            for side, peer in (("left", left), ("right", right)):
+                if peer is None:
+                    assert out[w][side] is None
+                else:
+                    np.testing.assert_array_equal(out[w][side][0], loads[peer][1])
+                    np.testing.assert_array_equal(out[w][side][1], loads[peer][2])
 
 
 class TestDistributedRuns:
@@ -219,11 +257,8 @@ class TestDistributedRuns:
         cfg = TrainConfig(iterations=2, minibatch_size=5, seed=3)
         _run_workers(corpus, hyper, cfg, log)
         t, k, v = corpus.n_slices, hyper.K, corpus.vocabulary.size
-        n_alpha = sum(1 for e in log if e[2] == KIND_ALPHA)
-        n_phi = sum(1 for e in log if e[2] == KIND_PHI)
-        assert n_alpha == 2 * (t - 1) * cfg.iterations
-        assert n_phi == 2 * (t - 1) * cfg.iterations
-        values = sum(e[3] for e in log) // 8
+        assert len(log) == 2 * (t - 1) * cfg.iterations
+        values = sum(e[2] for e in log) // 8
         assert values == 2 * (t - 1) * (k + k * v) * cfg.iterations
 
     def test_in_process_equals_sequential(self, small_synthetic):
@@ -326,8 +361,8 @@ class TestSocketFailures:
 
 
 class TestTcpTransport:
-    """Over real TCP: stop-and-wait frames stall on Nagle plus delayed ACK
-    unless every socket sets TCP_NODELAY (socketpairs cannot show it)."""
+    """Over real TCP (socketpairs cannot show it): every socket sets
+    TCP_NODELAY, and exchange rounds are not stalled."""
 
     def test_connected_pair_sets_nodelay(self):
         transports = _tcp_transports()
@@ -341,7 +376,8 @@ class TestTcpTransport:
                 tr.close()
 
     def test_exchange_rounds_are_not_stalled(self):
-        # a few ms per round with TCP_NODELAY, about 86 ms without
+        # a few ms per round on loopback; one delayed-ACK stall (about
+        # 40 ms) per round breaks the bar
         k, v, rounds = 50, 1000, 20
         rng = np.random.default_rng(0)
         loads = {w: (w, rng.normal(size=k), rng.normal(size=(k, v))) for w in (1, 2)}

@@ -115,6 +115,23 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=message):
             load_corpus(d, BAG_OF_WORDS_DIR)
 
+    def test_bag_of_words_blank_vocab_line_before_a_term_is_error(self, tmp_path, capsys):
+        from dtmgibbs.cli import main
+        d = tmp_path / "bow"
+        d.mkdir()
+        (d / "vocab.txt").write_text("a\n\nb\n", encoding="utf-8")
+        (d / "docs.txt").write_text("1\t0 1\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=r"vocab\.txt:2: blank line"):
+            load_corpus(d, BAG_OF_WORDS_DIR)
+        code = main(["train", "--corpus", str(d), "--format", "bag-of-words-dir",
+                     "--out", str(tmp_path / "run"), "--topics", "2",
+                     "--iterations", "1"])
+        assert code == 2   # a data error
+        assert "vocab.txt:2: blank line" in capsys.readouterr().err
+        # blank lines after the last term assign no id and are allowed
+        (d / "vocab.txt").write_text("a\nb\n\n \n", encoding="utf-8")
+        assert load_corpus(d, BAG_OF_WORDS_DIR).vocabulary.terms == ("a", "b")
+
     def test_equal_integer_keys_ordered_by_string(self, tmp_path):
         """Keys equal as integers stay distinct slices, ordered by the key
         string, under any hash seed."""

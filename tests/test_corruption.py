@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtmgibbs.cluster import (KIND_ALPHA, KIND_NACK, BoundaryMessage,
-                              ProtocolError, _recv_with_retry, decode_frame)
+from dtmgibbs.cluster import ProtocolError, encode_boundary, recv_boundary
 from dtmgibbs.model import (Hyperparams, SliceState, checkpoint_path,
                             read_slice_checkpoint, write_slice_checkpoint)
 
@@ -53,8 +52,8 @@ def test_flipped_checkpoint_byte_rejected(tmp_path_factory, checkpoint_blob, dat
 
 
 class _Replay:
-    """Transport stub: hands out the same bytes on every recv (a link that
-    corrupts every copy of the frame) and records what is sent back."""
+    """Transport stub: hands out the same bytes on every recv and records
+    whatever the receiver sends back."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -64,22 +63,23 @@ class _Replay:
         return bytearray(self.data)
 
     def send(self, to_id, data):
-        self.sent.append(decode_frame(data).kind)
+        self.sent.append(data)
 
 
-FRAME = BoundaryMessage(iteration=3, slice_from=1, kind=KIND_ALPHA,
-                        payload=np.arange(4, dtype=float)).encode()
+ALPHA, PHI = np.arange(2, dtype=float), np.arange(6, dtype=float).reshape(2, 3)
+FRAME = encode_boundary(3, 1, ALPHA, PHI)
 
 
 def test_intact_frame_accepted():
-    frame = _recv_with_retry(_Replay(FRAME), 1, KIND_ALPHA, 3, 2)
-    np.testing.assert_array_equal(frame.array(), np.arange(4, dtype=float))
+    alpha, phi = recv_boundary(_Replay(FRAME), 2, 1, 3)
+    np.testing.assert_array_equal(alpha, ALPHA)
+    np.testing.assert_array_equal(phi, PHI)
 
 
 @given(st.integers(0, len(FRAME) - 1))
 def test_truncated_frame_rejected(cut):
     with pytest.raises(ProtocolError):
-        _recv_with_retry(_Replay(FRAME[:cut]), 1, KIND_ALPHA, 3, 2)
+        recv_boundary(_Replay(FRAME[:cut]), 2, 1, 3)
 
 
 @given(st.integers(0, len(FRAME) - 1), st.integers(1, 255))
@@ -87,6 +87,6 @@ def test_flipped_frame_byte_rejected(pos, mask):
     blob = bytearray(FRAME)
     blob[pos] ^= mask
     link = _Replay(bytes(blob))
-    with pytest.raises(ProtocolError):
-        _recv_with_retry(link, 1, KIND_ALPHA, 3, 2)
-    assert set(link.sent) <= {KIND_NACK}   # never acknowledged
+    with pytest.raises(ProtocolError, match="worker 2 <- 1: "):
+        recv_boundary(link, 2, 1, 3)
+    assert link.sent == []   # the receiver sends nothing back
