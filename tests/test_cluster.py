@@ -65,16 +65,26 @@ class _Counting:
 
 
 class _Corrupting:
-    """Flips a payload byte of every frame it delivers."""
+    """Flips a payload byte of every frame it delivers, or of the first one
+    only with ``once``; ``sent_after`` logs the frames sent after that."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, once=False):
         self.inner = inner
+        self.once = once
+        self.corrupted = False
+        self.sent_after = []
 
     def send(self, to_id, data):
+        if self.corrupted:
+            self.sent_after.append((to_id, data))
         self.inner.send(to_id, data)
 
     def recv(self, from_id):
-        mangled = bytearray(self.inner.recv(from_id))
+        data = self.inner.recv(from_id)
+        if self.once and self.corrupted:
+            return data
+        self.corrupted = True
+        mangled = bytearray(data)
         mangled[-8] ^= 0xFF
         return mangled
 
@@ -172,7 +182,22 @@ class TestExchange:
         a, p = out[2]["left"]
         np.testing.assert_array_equal(p, np.ones((3, 4)))
 
-    def test_corrupted_frame_fails_naming_the_peer(self):
+    def test_single_corrupted_frame_fails_without_retransmit(self):
+        wrappers = []
+
+        def wrap(tr):
+            wrappers.append(_Corrupting(tr, once=True))
+            return wrappers[-1]
+
+        out, errs = _pair_exchange(wrap)
+        assert list(errs) == [2], errs
+        assert isinstance(errs[2], ProtocolError)
+        assert str(errs[2]).startswith("worker 2 <- 1: checksum mismatch"), errs[2]
+        # no nack and no second copy: the receiver sends nothing back
+        assert wrappers[0].sent_after == []
+        np.testing.assert_array_equal(out[1]["right"][0], 2 * np.ones(3))
+
+    def test_persistent_corruption_fails(self):
         out, errs = _pair_exchange(_Corrupting)
         assert list(errs) == [2], errs
         assert isinstance(errs[2], ProtocolError)
