@@ -6,9 +6,10 @@ and topic-term parameters, then compute independently; that handshake
 is the only cross-worker communication, so the run is almost
 embarrassingly parallel.
 
-Neighbor values consumed by the samplers are always the peer's
-previous-iteration values, which makes a distributed run numerically
-identical to the sequential engine.
+A worker runs ``engine.run_slices``, the loop ``train`` runs, over the
+slices it owns (``worker_loop``).  Neighbor values consumed by the
+samplers are always the peer's previous-iteration values, which makes a
+distributed run, checkpoints included, identical to the sequential one.
 
 Workers run as separate processes, one per slice or per contiguous run
 of slices, joined by one TCP connection per adjacent pair;
@@ -58,13 +59,13 @@ import socket
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .corpus import Corpus
-from .engine import TrainConfig, neighbor_contexts, run_iteration
-from .model import Hyperparams, ModelState, accumulate_counts, init_slice_state
+from .engine import TrainConfig, run_slices
+from .model import Hyperparams, ModelState, init_slice_state
 
 MAGIC = b"DTMB"
 VERSION = 3
@@ -284,9 +285,10 @@ def recv_frame(conn: socket.socket, who: str) -> Frame:
 # Boundary exchange
 # ---------------------------------------------------------------------------
 
-def recv_boundary(transport, worker_id: int, peer: int, iteration: int) -> tuple:
-    """(alpha, phi) from ``peer``'s boundary frame for ``iteration``; any
-    other frame is a ProtocolError naming the peer."""
+def recv_boundary(transport, worker_id: int, peer: int, iteration: int,
+                  slice_index: int) -> tuple:
+    """(alpha, phi) from ``peer``'s boundary frame of slice ``slice_index``
+    for ``iteration``; any other frame is a ProtocolError naming the peer."""
     who = f"worker {worker_id} <- {peer}"
     frame = decode_frame(transport.recv(peer), who)
     if frame.kind != KIND_BOUNDARY:
@@ -294,6 +296,9 @@ def recv_boundary(transport, worker_id: int, peer: int, iteration: int) -> tuple
     if frame.iteration != iteration:
         raise ProtocolError(f"{who}: iteration mismatch: header {frame.iteration}, "
                             f"local {iteration}")
+    if frame.sender != slice_index:
+        raise ProtocolError(f"{who}: boundary frame of slice {frame.sender}, expected "
+                            f"slice {slice_index}; the workers' slice layouts differ")
     dims = frame.dims
     if len(dims) != 2 or len(frame.payload) != 8 * dims[0] * (1 + dims[1]):
         raise ProtocolError(f"{who}: boundary frame of {len(frame.payload)} bytes "
@@ -303,24 +308,25 @@ def recv_boundary(transport, worker_id: int, peer: int, iteration: int) -> tuple
     return values[:k], values[k:].reshape(k, v)
 
 
-def exchange_boundaries(transport, worker_id: int, iteration: int,
+def exchange_boundaries(transport, worker_id: int, iteration: int, position: int,
                         send_left=None, send_right=None,
                         left_peer: int | None = None,
                         right_peer: int | None = None) -> dict:
     """Swap (alpha, phi) payloads with the adjacent workers.
 
     ``send_left``/``send_right`` are (slice_index, alpha, phi) tuples
-    destined for the respective peer; each goes out as one boundary
-    frame.  Even-indexed workers send first then receive; odd-indexed
-    do the reverse.  Where ids alternate in parity along the chain, as
-    ``default_topology`` numbers them, every send meets a receiving peer
-    and the chain cannot deadlock even when a frame exceeds the socket
-    buffers.
+    destined for the respective peer, if there is one; each goes out as
+    one boundary frame, and each peer's frame must come from the
+    adjacent slice.
+    Workers at an even chain ``position`` (see ``_adjacency``) send
+    first then receive; odd ones do the reverse, so every send meets a
+    receiving peer and the chain cannot deadlock even when a frame
+    exceeds the socket buffers.
     Returns {'left': (alpha, phi) | None, 'right': ...} holding the
     peers' previous-iteration values.
 
-    A corrupt or truncated frame, a frame of another kind and an
-    iteration mismatch are all immediately fatal (ProtocolError).
+    A corrupt or truncated frame, or one of another kind, iteration or
+    slice, is immediately fatal (ProtocolError).
     """
     received = {"left": None, "right": None}
 
@@ -330,11 +336,13 @@ def exchange_boundaries(transport, worker_id: int, iteration: int,
                 transport.send(peer, encode_boundary(iteration, *load))
 
     def do_recv():
-        for side, peer in (("left", left_peer), ("right", right_peer)):
+        for side, peer, load, step in (("left", left_peer, send_left, -1),
+                                       ("right", right_peer, send_right, 1)):
             if peer is not None:
-                received[side] = recv_boundary(transport, worker_id, peer, iteration)
+                received[side] = recv_boundary(transport, worker_id, peer, iteration,
+                                               load[0] + step)
 
-    if worker_id % 2 == 0:
+    if position % 2 == 0:
         do_send()
         do_recv()
     else:
@@ -347,56 +355,37 @@ def exchange_boundaries(transport, worker_id: int, iteration: int,
 # Worker loop and distributed runners
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WorkerResult:
-    worker_id: int
-    slices: dict          # slice_index -> SliceState
-    counts: dict          # slice_index -> CountSet
-    metrics: list
-
-
-def worker_loop(worker_id: int, owned_slices, corpus: Corpus, hyper: Hyperparams,
-                cfg: TrainConfig, transport, n_slices_total: int,
-                left_peer: int | None, right_peer: int | None,
-                initial: dict | None = None, start_iteration: int = 0,
-                metrics_sink=None) -> WorkerResult:
-    """Run cfg.iterations for a contiguous run of owned slices.
+def worker_loop(worker_id: int, assignment: dict, corpus: Corpus, hyper: Hyperparams,
+                cfg: TrainConfig, transport, *, initial: dict | None = None,
+                start_iteration: int = 0, metrics_sink=None) -> dict:
+    """``engine.run_slices`` over the contiguous run of slices that
+    ``assignment`` gives this worker; returns their states by index.
 
     Only the lowest/highest owned slices are exchanged with peers; the
-    values received are filed under slices lo-1 and hi+1 next to the
-    worker's own previous-iteration values, and ``neighbor_contexts``
-    reads all of them, as in the sequential engine.
+    values received are filed under slices lo-1 and hi+1.  Metrics rows
+    go to ``metrics_sink`` only, so workers never share one CSV.
     """
-    owned = sorted(owned_slices)
+    owned = sorted(assignment[worker_id])
     lo, hi = owned[0], owned[-1]
+    left, right, position = _adjacency(assignment)[worker_id]
     if initial is None:
-        v = corpus.vocabulary.size
-        states = {t: init_slice_state(corpus.slices[t - 1], hyper.K, v, cfg.seed)
-                  for t in owned}
-    else:
-        states = dict(initial)
-    counts = {t: accumulate_counts(states[t], range(states[t].n_docs)) for t in owned}
-    metrics = []
+        initial = {t: init_slice_state(corpus.slices[t - 1], hyper.K,
+                                       corpus.vocabulary.size, cfg.seed) for t in owned}
+    states = dict(initial)
 
-    for i in range(start_iteration, start_iteration + cfg.iterations):
-        prev_alpha = {t: states[t].alpha for t in owned}
-        prev_phi = {t: states[t].phi for t in owned}
-        got = exchange_boundaries(
-            transport, worker_id, i,
-            send_left=(lo, prev_alpha[lo], prev_phi[lo]) if left_peer is not None else None,
-            send_right=(hi, prev_alpha[hi], prev_phi[hi]) if right_peer is not None else None,
-            left_peer=left_peer, right_peer=right_peer)
+    def exchange(i, alphas, phis):
+        got = exchange_boundaries(transport, worker_id, i, position,
+                                  send_left=(lo, alphas[lo], phis[lo]),
+                                  send_right=(hi, alphas[hi], phis[hi]),
+                                  left_peer=left, right_peer=right)
         for t, side in ((lo - 1, "left"), (hi + 1, "right")):
             if got[side] is not None:
-                prev_alpha[t], prev_phi[t] = got[side]
+                alphas[t], phis[t] = got[side]
 
-        for t in owned:
-            nb_alpha, nb_phi = neighbor_contexts(prev_alpha, prev_phi, t, n_slices_total)
-            counts[t], row = run_iteration(states[t], nb_alpha, nb_phi, hyper, cfg, i)
-            metrics.append(row)
-            if metrics_sink is not None:
-                metrics_sink(row)
-    return WorkerResult(worker_id, states, counts, metrics)
+    run_slices(states, corpus.n_slices, hyper, replace(cfg, metrics_path=None),
+               start_iteration=start_iteration, exchange=exchange,
+               metrics_sink=metrics_sink)
+    return states
 
 
 def default_topology(n_slices: int, workers: int | None = None) -> dict:
@@ -409,42 +398,38 @@ def default_topology(n_slices: int, workers: int | None = None) -> dict:
 
 
 def _adjacency(assignment: dict) -> dict:
-    """worker -> (left_peer, right_peer) under contiguous slice ownership."""
+    """worker -> (left_peer, right_peer, position) under contiguous slice
+    ownership; ``position`` counts the workers along the chain from 0."""
     by_low = sorted(assignment.items(), key=lambda kv: min(kv[1]))
     ordered = [w for w, _ in by_low]
     out = {}
     for pos, w in enumerate(ordered):
         out[w] = (ordered[pos - 1] if pos > 0 else None,
-                  ordered[pos + 1] if pos + 1 < len(ordered) else None)
+                  ordered[pos + 1] if pos + 1 < len(ordered) else None, pos)
     return out
 
 
 def run_worker(worker_id: int, assignment: dict, addresses: dict,
                corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig,
                checkpoint_dir, *, start_iteration: int = 0,
-               initial: dict | None = None, metrics_sink=None) -> WorkerResult:
-    """One worker process: connect to the chain neighbours, train the
-    owned slices, and write their checkpoints.
+               initial: dict | None = None, metrics_sink=None) -> dict:
+    """One worker process: connect to the chain neighbours and train the
+    owned slices, checkpointing them into ``checkpoint_dir`` as ``train``
+    does (every ``cfg.checkpoint_every`` iterations and at the end).
 
     ``assignment`` maps every worker id to its slices and ``addresses``
-    every worker id to its (host, port).  The checkpoints are stamped
-    ``start_iteration + cfg.iterations``.
+    every worker id to its (host, port).  Returns the owned states.
     """
-    left, right = _adjacency(assignment)[worker_id]
+    left, right, _ = _adjacency(assignment)[worker_id]
     peers = {p: addresses[p] for p in (left, right) if p is not None}
     transport = SocketTransport.connect(worker_id, addresses[worker_id], peers)
     try:
-        res = worker_loop(worker_id, assignment[worker_id], corpus, hyper, cfg,
-                          transport, corpus.n_slices, left, right,
-                          initial=initial, start_iteration=start_iteration,
-                          metrics_sink=metrics_sink)
+        return worker_loop(worker_id, assignment, corpus, hyper,
+                           replace(cfg, checkpoint_dir=str(checkpoint_dir)), transport,
+                           initial=initial, start_iteration=start_iteration,
+                           metrics_sink=metrics_sink)
     finally:
         transport.close()
-    from .model import write_slice_checkpoint  # call-time lookup: tracers rebind it
-    for sl in res.slices.values():
-        write_slice_checkpoint(checkpoint_dir, sl, cfg.seed,
-                               start_iteration + cfg.iterations, corpus.n_slices)
-    return res
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Per-slice training loop: mini-batch selection, the Jacobi-relaxed
-block updates (eta, phi and z, each reading the previous iteration's
-values), then the exact alpha draw; the slice state is advanced in
-place at the end of the iteration.
+"""The training loop.  ``run_iteration`` advances one slice by one
+iteration: mini-batch selection, the Jacobi-relaxed block updates (eta,
+phi and z, each reading the previous iteration's values), the exact
+alpha draw, then the in-place advance of the slice state.
+``run_slices`` is the one loop over iterations: ``train`` runs it over
+every slice, a socket worker (``cluster.worker_loop``) over its own.
 
 Each block is one numpy expression over the whole mini-batch (all its
 documents, all K topics, all its tokens) and draws from one stream
@@ -19,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model
 from .corpus import Corpus
 from .kernels import SgldSchedule, rng_for
 from .model import (CountSet, Hyperparams, ModelState, SliceState,
-                    accumulate_counts, gather_docs, init_state, split_flat,
-                    write_checkpoint)
+                    accumulate_counts, gather_docs, init_state, split_flat)
 from .samplers import (NeighborContext, grad_log_post_eta, grad_log_post_phi,
                        mh_sweep, rebuild_proposals, sample_alpha,
                        sgld_update_eta, sgld_update_phi)
@@ -53,7 +55,6 @@ class TrainConfig:
     checkpoint_every: int = 0          # 0: only the final checkpoint
     checkpoint_dir: str | None = None
     metrics_path: str | None = None
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.iterations < 0:
@@ -93,8 +94,6 @@ def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
     w, z, lengths = gather_docs(state, minibatch)
     rows = np.repeat(np.arange(minibatch.shape[0]), lengths)
     ms_counts = (time.perf_counter() - t0) * 1e3
-    if cfg.debug_checks:
-        counts.validate(state.tokens)
 
     eps_eta = cfg.schedule_eta.step(iteration)
     eps_phi = cfg.schedule_phi.step(iteration)
@@ -146,17 +145,12 @@ def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
     if not np.all(np.isfinite(alpha_next)):
         raise NumericError("alpha", t, iteration)
 
-    if cfg.debug_checks:
-        recheck = accumulate_counts(state, minibatch)
-        if not recheck.equals(counts):
-            raise AssertionError("the blocks wrote into the state before it was advanced")
     # only the mini-batch rows of eta and z moved; the state refreshes
     # just their normalizers
     state.advance(alpha_next, phi_next, minibatch, eta_mb_next, z_rows)
-    if cfg.debug_checks:
-        state.validate_normalizers()
 
-    lj = log_joint_proxy(state, neighbors_alpha, neighbors_phi, minibatch, hyper)
+    lj = log_joint_proxy(state, neighbors_alpha, neighbors_phi, minibatch,
+                         w, z_mb, rows, hyper)
     row = {"iteration": iteration, "slice": t,
            "ms_counts": round(ms_counts, 3),
            "ms_eta": round(ms_eta, 3),
@@ -168,11 +162,13 @@ def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
 
 
 def log_joint_proxy(state: SliceState, neighbors_alpha: NeighborContext,
-                    neighbors_phi: NeighborContext, minibatch, hyper: Hyperparams) -> float:
+                    neighbors_phi: NeighborContext, minibatch, w, z, rows,
+                    hyper: Hyperparams) -> float:
     """Unnormalized log posterior over the mini-batch, for trend monitoring.
 
     Chain priors plus the mini-batch document priors and token
-    likelihoods, the latter two rescaled to full-slice size.
+    likelihoods, the latter two rescaled to full-slice size.  ``w``, ``z``
+    and ``rows`` are the batch's flat word ids, current topics and rows.
     """
     lj = 0.0
     for nb in (neighbors_alpha.left, neighbors_alpha.right):
@@ -188,8 +184,6 @@ def log_joint_proxy(state: SliceState, neighbors_alpha: NeighborContext,
     eta = state.eta[mb]
     diff = eta - state.alpha[None, :]
     lj -= scale * float((diff ** 2).sum()) / (2 * hyper.psi2)
-    w, z, lengths = gather_docs(state, mb)
-    rows = np.repeat(np.arange(mb.shape[0]), lengths)
     tok = float((eta[rows, z] - state.eta_log_norm[mb][rows]).sum())
     tok += float((state.phi[z, w] - state.phi_log_norm[z]).sum())
     return lj + scale * tok
@@ -220,42 +214,69 @@ def neighbor_contexts(alphas: dict, phis: dict, t: int, n_slices: int):
             NeighborContext(left=p_left, right=p_right))
 
 
-def train(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig, *,
-          state: ModelState | None = None, start_iteration: int = 0,
-          metrics_sink=None) -> TrainResult:
-    """Run cfg.iterations blockwise iterations over all slices in-process.
+def run_slices(slices: dict, n_slices: int, hyper: Hyperparams, cfg: TrainConfig,
+               *, start_iteration: int = 0, exchange=None, counts: list | None = None,
+               metrics_sink=None) -> list:
+    """Run cfg.iterations lockstep iterations over ``slices`` (slice index
+    -> SliceState, advanced in place) of a chain of ``n_slices``.
 
-    Slices advance in lockstep: every slice's update reads its
-    neighbors' previous-iteration values, exactly as the distributed
-    runner does, so both paths produce identical states.  Pass ``state``
-    and ``start_iteration`` to resume.
+    Every update reads its neighbours' previous-iteration alpha and phi
+    from dicts keyed by slice index; ``exchange(iteration, alphas, phis)``
+    files in the neighbours not in ``slices``.  Each slice's mini-batch
+    counts go to ``counts[t - 1]``, then its metrics row to the CSV at
+    ``cfg.metrics_path``, ``metrics_sink`` and the returned list.  With
+    ``cfg.checkpoint_dir`` the slices are checkpointed every
+    ``cfg.checkpoint_every`` iterations and after the last one.
     """
-    if state is None:
-        state = init_state(corpus, hyper, cfg.seed)
+    owned = sorted(slices)
+    end = start_iteration + cfg.iterations
+
+    def checkpoint(iteration):
+        for t in owned:     # model's global, looked up now: tracers rebind it
+            model.write_slice_checkpoint(cfg.checkpoint_dir, slices[t], cfg.seed,
+                                         iteration, n_slices)
+
     metrics: list[dict] = []
     writer = _MetricsWriter(cfg.metrics_path, append=start_iteration > 0)
-    n = state.n_slices
     try:
-        for i in range(start_iteration, start_iteration + cfg.iterations):
-            alphas = {t: sl.alpha for t, sl in enumerate(state.slices, start=1)}
-            phis = {t: sl.phi for t, sl in enumerate(state.slices, start=1)}
-            for idx in range(n):
-                nb_alpha, nb_phi = neighbor_contexts(alphas, phis, idx + 1, n)
-                counts, row = run_iteration(state.slices[idx], nb_alpha,
-                                            nb_phi, hyper, cfg, i)
-                state.counts[idx] = counts
+        for i in range(start_iteration, end):
+            alphas = {t: slices[t].alpha for t in owned}
+            phis = {t: slices[t].phi for t in owned}
+            if exchange is not None:
+                exchange(i, alphas, phis)
+            for t in owned:
+                nb_alpha, nb_phi = neighbor_contexts(alphas, phis, t, n_slices)
+                mb_counts, row = run_iteration(slices[t], nb_alpha, nb_phi, hyper, cfg, i)
+                if counts is not None:
+                    counts[t - 1] = mb_counts
                 metrics.append(row)
                 writer.write(row)
                 if metrics_sink is not None:
                     metrics_sink(row)
             if (cfg.checkpoint_dir and cfg.checkpoint_every
                     and (i + 1 - start_iteration) % cfg.checkpoint_every == 0):
-                write_checkpoint(cfg.checkpoint_dir, state, cfg.seed, i + 1)
+                checkpoint(i + 1)
         if cfg.checkpoint_dir:
-            write_checkpoint(cfg.checkpoint_dir, state, cfg.seed,
-                             start_iteration + cfg.iterations)
+            checkpoint(end)
     finally:
         writer.close()
+    return metrics
+
+
+def train(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig, *,
+          state: ModelState | None = None, start_iteration: int = 0,
+          metrics_sink=None) -> TrainResult:
+    """Run cfg.iterations blockwise iterations over all slices in-process.
+
+    Socket workers run the same loop, so both produce identical states.
+    ``state.counts`` is current whenever ``metrics_sink`` is called.
+    Pass ``state`` and ``start_iteration`` to resume.
+    """
+    if state is None:
+        state = init_state(corpus, hyper, cfg.seed)
+    metrics = run_slices(dict(enumerate(state.slices, start=1)), state.n_slices,
+                         hyper, cfg, start_iteration=start_iteration,
+                         counts=state.counts, metrics_sink=metrics_sink)
     return TrainResult(state=state, metrics=metrics,
                        iterations_done=start_iteration + cfg.iterations)
 

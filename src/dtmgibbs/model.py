@@ -61,7 +61,7 @@ class CountSet:
         self.n_tokens = 0
 
     def validate(self, tokens=None) -> None:
-        """Assert the conservation invariants; cheap, used in debug runs."""
+        """Assert the conservation invariants; cheap enough to run every iteration."""
         if (np.any(self.c_doc < 0) or np.any(self.c_word_topic < 0)
                 or np.any(self.c_topic < 0)):
             raise AssertionError("negative counts")
@@ -79,13 +79,6 @@ class CountSet:
             if bad.size:
                 raise AssertionError(f"c_doc row of doc {int(self.docs[bad[0]])} "
                                      "does not sum to doc length")
-
-    def equals(self, other: "CountSet") -> bool:
-        return (self.n_tokens == other.n_tokens
-                and np.array_equal(self.c_word_topic, other.c_word_topic)
-                and np.array_equal(self.c_topic, other.c_topic)
-                and np.array_equal(self.docs, other.docs)
-                and np.array_equal(self.c_doc, other.c_doc))
 
 
 def row_log_norms(x: np.ndarray) -> np.ndarray:

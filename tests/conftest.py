@@ -70,6 +70,16 @@ def states_equal(a, b) -> bool:
     return True
 
 
+def check_invariants(state, row):
+    """A ``metrics_sink`` check of the slice a metrics row reports: its
+    mini-batch counts and cached normalizers, as the iteration left them.
+    Returns the row's (iteration, slice)."""
+    t = row["slice"]
+    state.counts[t - 1].validate(state.slices[t - 1].tokens)
+    state.slices[t - 1].validate_normalizers()
+    return row["iteration"], t
+
+
 def load_corpus_long_form(path, fmt="slice-per-line", *, vocabulary=None,
                           max_terms=None, stopwords=()):
     """``(corpus, report)`` of ``load_corpus`` written the long way, one

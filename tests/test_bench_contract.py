@@ -27,11 +27,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # tracer targets the package no longer has, each with why nothing is lost
 ABSENT_TARGETS = {
+    "dtmgibbs.cluster.run_iteration":
+        "workers run engine.run_slices, whose run_iteration calls the "
+        "engine.run_iteration target",
     "dtmgibbs.engine.mh_sweep_document":
         "the engine sweeps a whole mini-batch through mh_sweep; "
         "evaluation's call site still feeds the sweep metrics",
     "dtmgibbs.samplers.build_alias_table":
         "samplers builds every table kind with build_alias_matrix",
+    "dtmgibbs.cluster.accumulate_counts":
+        "workers tally only mini-batch counts, inside engine.run_iteration "
+        "(the engine.accumulate_counts target)",
 }
 
 

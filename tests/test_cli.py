@@ -412,6 +412,44 @@ class TestWorkerCoordinator:
         assert errors[0].startswith("peer error: worker 2 <- 1:"), errors
         assert "Traceback" not in worker.stderr
 
+    def test_mismatched_slice_layouts_exit_4(self, tmp_path):
+        from dtmgibbs.cluster import free_ports
+        rng = np.random.default_rng(1)
+        corpus = tmp_path / "three.txt"
+        corpus.write_text("".join(f"{t}\t{' '.join(f'w{i}' for i in rng.integers(0, 8, 12))}\n"
+                                  for t in (1, 2, 3) for _ in range(6)), encoding="utf-8")
+        # no coordinator compares the files: worker 1 sends slice 1 and
+        # expects slice 2, worker 2 sends slice 3 and expects slice 2.
+        # Worker 2 receives first, so it finds the mismatch; worker 1 then
+        # loses its peer
+        w1, w2 = free_ports(2)
+        procs = {}
+        try:
+            for wid, owned in ((1, {1: [1], 2: [2, 3]}), (2, {1: [1, 2], 2: [3]})):
+                topo = tmp_path / f"topo{wid}.txt"
+                topo.write_text(f"worker 1 = 127.0.0.1:{w1}\nworker 2 = 127.0.0.1:{w2}\n"
+                                + "".join(f"slices {w} = {','.join(map(str, ts))}\n"
+                                          for w, ts in owned.items()), encoding="utf-8")
+                procs[wid] = subprocess.Popen(
+                    RUNNER + ["worker", "--corpus", str(corpus), "--topics", "2",
+                              "--iterations", "2", "--minibatch", "3",
+                              "--test-fraction", "0", "--topology", str(topo),
+                              "--worker-id", str(wid), "--out", str(tmp_path / f"w{wid}")],
+                    stderr=subprocess.PIPE, text=True)
+            errs = {wid: p.communicate(timeout=60)[1] for wid, p in procs.items()}
+        finally:
+            for p in procs.values():
+                if p.poll() is None:
+                    p.kill()
+                    p.wait()
+        for wid, expected in ((1, "worker 1 <- 2: "),
+                              (2, "worker 2 <- 1: boundary frame of slice 1, expected slice 2")):
+            assert procs[wid].returncode == 4, errs[wid]
+            errors = [ln for ln in errs[wid].splitlines() if ln.startswith("peer error:")]
+            assert len(errors) == 1, errs[wid]
+            assert errors[0].startswith(f"peer error: {expected}"), errors
+            assert "Traceback" not in errs[wid]
+
     def test_corrupt_metrics_frame_exit_4(self, tmp_path):
         import socket
         import time

@@ -18,7 +18,7 @@ from dtmgibbs.cluster import (KIND_BOUNDARY, KIND_DONE, PeerDisconnected,
                               recv_boundary, run_distributed_sockets,
                               worker_loop)
 from dtmgibbs.engine import TrainConfig, train
-from dtmgibbs.model import Hyperparams, init_state
+from dtmgibbs.model import Hyperparams, init_state, load_checkpoint
 from dtmgibbs.synthetic import generate_synthetic
 
 # short enough that a protocol hang fails the test quickly
@@ -63,6 +63,9 @@ class _Counting:
     def recv(self, from_id):
         return self.inner.recv(from_id)
 
+    def close(self):
+        self.inner.close()
+
 
 class _Corrupting:
     """Flips a payload byte of every frame it delivers, or of the first one
@@ -89,13 +92,13 @@ class _Corrupting:
         return mangled
 
 
-def _socketpair_transports(assignment):
+def _socketpair_transports(assignment, timeout=TIMEOUT):
     """One SocketTransport per worker; adjacent workers share a socketpair."""
     conns = {w: {} for w in assignment}
-    for w, (_, right) in _adjacency(assignment).items():
+    for w, (_, right, *_) in _adjacency(assignment).items():
         if right is not None:
             conns[w][right], conns[right][w] = socket.socketpair()
-    return {w: SocketTransport(w, c, timeout=TIMEOUT) for w, c in conns.items()}
+    return {w: SocketTransport(w, c, timeout=timeout) for w, c in conns.items()}
 
 
 def _on_threads(jobs):
@@ -129,16 +132,18 @@ def _tcp_transports():
     return out
 
 
-def _pair_exchange(wrap2=lambda tr: tr, k=3, v=4):
-    """Run one boundary exchange between workers 1 and 2 over a socketpair."""
+def _pair_exchange(wrap1=lambda tr: tr, k=3, v=4):
+    """Run one boundary exchange between workers 1 and 2 over a socketpair.
+    Worker 1, at chain position 0, sends first and then receives through
+    ``wrap1(transport)``."""
     alpha1, phi1 = np.ones(k), np.ones((k, v))
     alpha2, phi2 = 2 * np.ones(k), 2 * np.ones((k, v))
     transports = _socketpair_transports({1: [1], 2: [2]})
     try:
         return _on_threads({
-            1: lambda: exchange_boundaries(transports[1], 1, 0,
+            1: lambda: exchange_boundaries(wrap1(transports[1]), 1, 0, 0,
                                            send_right=(1, alpha1, phi1), right_peer=2),
-            2: lambda: exchange_boundaries(wrap2(transports[2]), 2, 0,
+            2: lambda: exchange_boundaries(transports[2], 2, 0, 1,
                                            send_left=(2, alpha2, phi2), left_peer=1),
         })
     finally:
@@ -146,30 +151,30 @@ def _pair_exchange(wrap2=lambda tr: tr, k=3, v=4):
             tr.close()
 
 
-def _run_workers(corpus, hyper, cfg, log=None):
-    """worker_loop for every worker of the 1:1 layout on test threads,
-    over socketpairs; returns {worker: WorkerResult}."""
-    assignment = default_topology(corpus.n_slices)
-    adjacency = _adjacency(assignment)
-    transports = _socketpair_transports(assignment)
-
-    def job(w):
-        tr = transports[w] if log is None else _Counting(transports[w], log)
-        left, right = adjacency[w]
-        return lambda: worker_loop(w, assignment[w], corpus, hyper, cfg, tr,
-                                   corpus.n_slices, left, right)
-
+def _run_workers(monkeypatch, ckpt_dir, corpus, hyper, cfg, assignment=None, log=None,
+                 metrics_sink=None, timeout=TIMEOUT):
+    """``run_worker`` for every worker of ``assignment`` (1:1 by default) on
+    test threads, with socketpairs in place of TCP connections; returns
+    (results, errors), where results maps each worker to its owned states."""
+    assignment = assignment or default_topology(corpus.n_slices)
+    transports = _socketpair_transports(assignment, timeout)
+    if log is not None:
+        transports = {w: _Counting(tr, log) for w, tr in transports.items()}
+    monkeypatch.setattr(SocketTransport, "connect",
+                        classmethod(lambda cls, w, *args, **kwargs: transports[w]))
+    addresses = dict.fromkeys(assignment)
     try:
-        results, errs = _on_threads({w: job(w) for w in assignment})
+        return _on_threads({
+            w: (lambda w=w: cluster.run_worker(w, assignment, addresses, corpus, hyper,
+                                               cfg, ckpt_dir, metrics_sink=metrics_sink))
+            for w in assignment})
     finally:
         for tr in transports.values():
             tr.close()
-    assert not errs, errs
-    return results
 
 
 def _as_state(results):
-    slices = {t: sl for res in results.values() for t, sl in res.slices.items()}
+    slices = {t: sl for states in results.values() for t, sl in states.items()}
     return SimpleNamespace(slices=[slices[t] for t in sorted(slices)])
 
 
@@ -190,18 +195,18 @@ class TestExchange:
             return wrappers[-1]
 
         out, errs = _pair_exchange(wrap)
-        assert list(errs) == [2], errs
-        assert isinstance(errs[2], ProtocolError)
-        assert str(errs[2]).startswith("worker 2 <- 1: checksum mismatch"), errs[2]
+        assert list(errs) == [1], errs
+        assert isinstance(errs[1], ProtocolError)
+        assert str(errs[1]).startswith("worker 1 <- 2: checksum mismatch"), errs[1]
         # no nack and no second copy: the receiver sends nothing back
         assert wrappers[0].sent_after == []
-        np.testing.assert_array_equal(out[1]["right"][0], 2 * np.ones(3))
+        np.testing.assert_array_equal(out[2]["left"][0], np.ones(3))
 
     def test_persistent_corruption_fails(self):
         out, errs = _pair_exchange(_Corrupting)
-        assert list(errs) == [2], errs
-        assert isinstance(errs[2], ProtocolError)
-        assert str(errs[2]).startswith("worker 2 <- 1: checksum mismatch"), errs[2]
+        assert list(errs) == [1], errs
+        assert isinstance(errs[1], ProtocolError)
+        assert str(errs[1]).startswith("worker 1 <- 2: checksum mismatch"), errs[1]
 
     def test_iteration_mismatch_is_protocol_error(self):
         transports = _socketpair_transports({1: [1], 2: [2]})
@@ -209,7 +214,7 @@ class TestExchange:
         try:
             sender.send(2, encode_boundary(9, 1, np.zeros(2), np.zeros((2, 3))))
             with pytest.raises(ProtocolError, match="worker 2 <- 1: iteration mismatch"):
-                recv_boundary(receiver, 2, 1, 3)
+                recv_boundary(receiver, 2, 1, 3, 1)
         finally:
             sender.close()
             receiver.close()
@@ -220,10 +225,35 @@ class TestExchange:
         try:
             sender.send(2, encode_frame(KIND_DONE, 3, 1))
             with pytest.raises(ProtocolError, match="expected a boundary frame"):
-                recv_boundary(receiver, 2, 1, 3)
+                recv_boundary(receiver, 2, 1, 3, 1)
         finally:
             sender.close()
             receiver.close()
+
+    def test_frame_from_another_slice_is_protocol_error(self):
+        transports = _socketpair_transports({1: [1], 2: [2]})
+        sender, receiver = transports[1], transports[2]
+        try:
+            sender.send(2, encode_boundary(3, 5, np.zeros(2), np.zeros((2, 3))))
+            with pytest.raises(ProtocolError, match="worker 2 <- 1: boundary frame of "
+                                                    "slice 5, expected slice 1"):
+                recv_boundary(receiver, 2, 1, 3, 1)
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_adjacent_ids_of_equal_parity_do_not_deadlock(self, monkeypatch, tmp_path):
+        # the send/receive order follows the chain position, not the id:
+        # workers 1 and 3 are positions 0 and 1, so one sends while the
+        # other receives; were both to receive first, each would time out
+        hyper = Hyperparams(K=2)
+        corpus, _ = generate_synthetic(hyper, v=10, n_slices=2,
+                                       docs_per_slice=6, doc_len=8, seed=0)
+        cfg = TrainConfig(iterations=3, minibatch_size=3, seed=1)
+        out, errs = _run_workers(monkeypatch, tmp_path / "ck", corpus, hyper, cfg,
+                                 assignment={1: [1], 3: [2]}, timeout=0.5)
+        assert not errs, errs
+        assert states_equal(train(corpus, hyper, cfg).state, _as_state(out))
 
     def test_chain_with_frames_beyond_socket_buffers_does_not_deadlock(self):
         # no acks pace the senders: the even/odd order alone must keep a
@@ -239,11 +269,10 @@ class TestExchange:
         loads = {w: (w, rng.normal(size=k), rng.normal(size=(k, v))) for w in workers}
 
         def job(w):
-            left, right = adjacency[w]
-            sides = dict(send_left=loads[w] if left else None,
-                         send_right=loads[w] if right else None,
+            left, right, position = adjacency[w]
+            sides = dict(send_left=loads[w], send_right=loads[w],
                          left_peer=left, right_peer=right)
-            return lambda: [exchange_boundaries(transports[w], w, i, **sides)
+            return lambda: [exchange_boundaries(transports[w], w, i, position, **sides)
                             for i in range(rounds)][-1]
 
         try:
@@ -256,7 +285,7 @@ class TestExchange:
         assert not errs, errs
         assert elapsed < TIMEOUT, f"{elapsed:.1f} s for {rounds} rounds"
         for w in workers:
-            left, right = adjacency[w]
+            left, right, _ = adjacency[w]
             for side, peer in (("left", left), ("right", right)):
                 if peer is None:
                     assert out[w][side] is None
@@ -266,32 +295,36 @@ class TestExchange:
 
 
 class TestDistributedRuns:
-    def test_single_slice_no_messages(self):
+    def test_single_slice_no_messages(self, monkeypatch, tmp_path):
         log = []
         hyper = Hyperparams(K=2)
         corpus, _ = generate_synthetic(hyper, v=10, n_slices=1,
                                        docs_per_slice=6, doc_len=8, seed=0)
-        res = _run_workers(corpus, hyper,
-                           TrainConfig(iterations=2, minibatch_size=3, seed=1), log)
+        res, errs = _run_workers(monkeypatch, tmp_path, corpus, hyper,
+                                 TrainConfig(iterations=2, minibatch_size=3, seed=1),
+                                 log=log)
+        assert not errs, errs
         assert len(_as_state(res).slices) == 1
         assert log == []
 
-    def test_message_count_and_volume(self, small_synthetic):
+    def test_message_count_and_volume(self, small_synthetic, monkeypatch, tmp_path):
         log = []
         hyper, corpus, _ = small_synthetic  # T=3, K=4, V=40
         cfg = TrainConfig(iterations=2, minibatch_size=5, seed=3)
-        _run_workers(corpus, hyper, cfg, log)
+        _, errs = _run_workers(monkeypatch, tmp_path, corpus, hyper, cfg, log=log)
+        assert not errs, errs
         t, k, v = corpus.n_slices, hyper.K, corpus.vocabulary.size
         assert len(log) == 2 * (t - 1) * cfg.iterations
         values = sum(e[2] for e in log) // 8
         assert values == 2 * (t - 1) * (k + k * v) * cfg.iterations
 
-    def test_in_process_equals_sequential(self, small_synthetic):
+    def test_in_process_equals_sequential(self, small_synthetic, monkeypatch, tmp_path):
         hyper, corpus, _ = small_synthetic
         cfg = TrainConfig(iterations=4, minibatch_size=6, seed=11)
         seq = train(corpus, hyper, cfg).state
-        dist = _as_state(_run_workers(corpus, hyper, cfg))
-        assert states_equal(seq, dist)
+        res, errs = _run_workers(monkeypatch, tmp_path, corpus, hyper, cfg)
+        assert not errs, errs
+        assert states_equal(seq, _as_state(res))
 
     def test_packed_workers_equal_sequential(self, small_synthetic, tmp_path):
         hyper, corpus, _ = small_synthetic  # T=3 on 2 workers
@@ -301,14 +334,40 @@ class TestDistributedRuns:
                                          assignment=default_topology(3, workers=2))
         assert states_equal(seq, packed)
 
-    def test_metrics_from_every_worker_every_iteration(self, small_synthetic):
+    def test_metrics_from_every_worker_every_iteration(self, small_synthetic,
+                                                       monkeypatch, tmp_path):
         hyper, corpus, _ = small_synthetic
         cfg = TrainConfig(iterations=3, minibatch_size=6, seed=14)
-        res = _run_workers(corpus, hyper, cfg)
-        seen = {(r["iteration"], r["slice"]) for w in res for r in res[w].metrics}
-        expected = {(i, t) for i in range(3)
-                    for t in range(1, corpus.n_slices + 1)}
+        rows = []
+        _, errs = _run_workers(monkeypatch, tmp_path, corpus, hyper, cfg,
+                               metrics_sink=rows.append)
+        assert not errs, errs
+        seen = sorted((r["iteration"], r["slice"]) for r in rows)
+        expected = [(i, t) for i in range(3) for t in range(1, corpus.n_slices + 1)]
         assert seen == expected
+
+    def test_stopped_worker_run_leaves_the_last_periodic_checkpoint(
+            self, small_synthetic, monkeypatch, tmp_path):
+        # every worker stops during iteration 5 (0-based) of 7, with a
+        # checkpoint due every 3: the set on disk is the one stamped 3
+        hyper, corpus, _ = small_synthetic
+        cfg = TrainConfig(iterations=7, minibatch_size=6, seed=16, checkpoint_every=3)
+
+        class Stop(Exception):
+            pass
+
+        def stop_at_iteration_5(row):
+            if row["iteration"] == 5:
+                raise Stop
+
+        _, errs = _run_workers(monkeypatch, tmp_path / "ck", corpus, hyper, cfg,
+                               metrics_sink=stop_at_iteration_5)
+        assert sorted(errs) == [1, 2, 3]
+        assert all(isinstance(e, Stop) for e in errs.values()), errs
+        loaded, seed, iteration = load_checkpoint(tmp_path / "ck", corpus, hyper)
+        assert (seed, iteration) == (16, 3)
+        seq = train(corpus, hyper, TrainConfig(iterations=3, minibatch_size=6, seed=16))
+        assert states_equal(seq.state, loaded)
 
     def test_socket_workers_equal_sequential(self, small_synthetic, tmp_path):
         hyper, corpus, _ = small_synthetic
@@ -411,7 +470,7 @@ class TestTcpTransport:
         transports = _tcp_transports()
 
         def job(w):
-            return lambda: [exchange_boundaries(transports[w], w, i, **sides[w])
+            return lambda: [exchange_boundaries(transports[w], w, i, w - 1, **sides[w])
                             for i in range(rounds)][-1]
 
         try:
@@ -432,12 +491,10 @@ class TestWorkerInit:
         hyper, corpus, _ = small_synthetic  # T=3
         cfg = TrainConfig(iterations=0, seed=9)
         full = init_state(corpus, hyper, cfg.seed)
-        res = worker_loop(2, [2, 3], corpus, hyper, cfg, None, corpus.n_slices, 1, None)
-        assert sorted(res.slices) == [2, 3]
+        states = worker_loop(2, {1: [1], 2: [2, 3]}, corpus, hyper, cfg, None)
+        assert sorted(states) == [2, 3]
         assert states_equal(SimpleNamespace(slices=full.slices[1:]),
-                            _as_state({2: res}))
-        for t in (2, 3):
-            assert res.counts[t].equals(full.counts[t - 1])
+                            _as_state({2: states}))
 
     def test_builds_only_owned_slices(self, monkeypatch):
         hyper = Hyperparams(K=3)
@@ -451,8 +508,8 @@ class TestWorkerInit:
             return real(seed, *path)
 
         monkeypatch.setattr(model, "rng_for", rng_for)
-        worker_loop(2, [2], corpus, hyper, TrainConfig(iterations=0, seed=1), None,
-                    corpus.n_slices, 1, 3)
+        worker_loop(2, default_topology(4), corpus, hyper,
+                    TrainConfig(iterations=0, seed=1), None)
         assert sorted(streams) == [("init-phi", 2), ("init-z", 2)]
 
 

@@ -3,12 +3,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import states_equal
+from conftest import check_invariants, states_equal
 
 from dtmgibbs.engine import (METRICS_FIELDS, NumericError, TrainConfig,
                              run_iteration, select_minibatch, train)
 from dtmgibbs.kernels import log_sum_exp, rng_for
-from dtmgibbs.model import Hyperparams, SliceState, init_state
+from dtmgibbs.model import Hyperparams, SliceState, gather_docs, init_state
 from dtmgibbs.samplers import NeighborContext
 from dtmgibbs.synthetic import generate_synthetic
 
@@ -114,17 +114,23 @@ class TestTrain:
         hyper = Hyperparams(K=1)
         corpus, _ = generate_synthetic(hyper, v=15, n_slices=2,
                                        docs_per_slice=8, doc_len=12, seed=5)
-        cfg = TrainConfig(iterations=5, minibatch_size=4, seed=6, debug_checks=True)
-        res = train(corpus, hyper, cfg)
+        cfg = TrainConfig(iterations=5, minibatch_size=4, seed=6)
+        state = init_state(corpus, hyper, cfg.seed)
+        res = train(corpus, hyper, cfg, state=state,
+                    metrics_sink=lambda row: check_invariants(state, row))
         for sl in res.state.slices:
             for z in sl.z:
                 assert np.all(z == 0)
             assert np.all(np.isfinite(sl.phi)) and np.all(np.isfinite(sl.eta))
 
-    def test_debug_checks_validate_counts_each_iteration(self, small_synthetic):
+    def test_counts_and_normalizers_valid_every_iteration(self, small_synthetic):
         hyper, corpus, _ = small_synthetic
-        cfg = TrainConfig(iterations=3, minibatch_size=5, seed=7, debug_checks=True)
-        res = train(corpus, hyper, cfg)
+        cfg = TrainConfig(iterations=3, minibatch_size=5, seed=7)
+        state = init_state(corpus, hyper, cfg.seed)
+        checked = []
+        res = train(corpus, hyper, cfg, state=state,
+                    metrics_sink=lambda row: checked.append(check_invariants(state, row)))
+        assert checked == [(i, t) for i in range(3) for t in (1, 2, 3)]
         for cs, sl in zip(res.state.counts, res.state.slices):
             cs.validate(sl.tokens)
 
@@ -287,5 +293,7 @@ class TestBlockStreams:
             for w, z in zip(st.tokens[d], st.z[d]):
                 expected += scale * (eta_d[z] - norm_d + st.phi[z, w]
                                      - log_sum_exp(st.phi[z]))
-        got = log_joint_proxy(st, nb_alpha, nb_phi, mb, hyper)
+        w, z, lengths = gather_docs(st, mb)
+        rows = np.repeat(np.arange(17), lengths)
+        got = log_joint_proxy(st, nb_alpha, nb_phi, mb, w, z, rows, hyper)
         assert got == pytest.approx(expected, rel=1e-12)

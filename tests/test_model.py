@@ -125,20 +125,18 @@ class TestAccumulateCounts:
             assert cs.n_tokens == sum(len(tokens[d]) for d in docs)
             cs.validate(tokens)
 
-    def test_validate_and_equals_catch_a_corrupted_row(self, tmp_path):
+    def test_validate_catches_a_corrupted_row(self, tmp_path):
         c = make_corpus(tmp_path)
         st = init_state(c, Hyperparams(K=3), seed=0)
         sl = st.slices[0]
-        good = accumulate_counts(sl, [1, 0])
         for corrupt in ("move", "add"):
             bad = accumulate_counts(sl, [1, 0])
-            assert bad.equals(good)
+            bad.validate(sl.tokens)
             if corrupt == "move":       # one count moves to another document
                 bad.c_doc[1, np.argmax(bad.c_doc[1])] -= 1
                 bad.c_doc[0, 0] += 1
             else:
                 bad.c_doc[1, 2] += 1
-            assert not bad.equals(good)
             with pytest.raises(AssertionError, match="c_doc"):
                 bad.validate(sl.tokens)
 
