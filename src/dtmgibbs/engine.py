@@ -26,9 +26,9 @@ from .corpus import Corpus
 from .kernels import SgldSchedule, rng_for
 from .model import (CountSet, Hyperparams, ModelState, SliceState,
                     accumulate_counts, gather_docs, init_state, split_flat)
-from .samplers import (NeighborContext, grad_log_post_eta, grad_log_post_phi,
-                       mh_sweep, rebuild_proposals, sample_alpha,
-                       sgld_update_eta, sgld_update_phi)
+from .samplers import (NeighborContext, WordTables, grad_log_post_eta,
+                       grad_log_post_phi, mh_sweep, rebuild_proposals,
+                       sample_alpha, sgld_update_eta, sgld_update_phi)
 
 METRICS_FIELDS = ("iteration", "slice", "ms_counts", "ms_eta", "ms_phi",
                   "ms_z", "ms_alpha", "log_joint", "eps_eta", "eps_phi")
@@ -74,24 +74,30 @@ def select_minibatch(n_docs: int, d_m: int, rng: np.random.Generator) -> np.ndar
 
 def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
                   neighbors_phi: NeighborContext, hyper: Hyperparams,
-                  cfg: TrainConfig, iteration: int) -> tuple[CountSet, dict]:
+                  cfg: TrainConfig, iteration: int,
+                  tables: WordTables | None = None) -> tuple[CountSet, dict]:
     """Advance one slice by one iteration, in place.
 
     Block order: counts, then eta, phi and z, which read only the
     state's previous-iteration values and write only their own output
     arrays, then alpha from the post-update eta mean.  The state is
-    advanced once, after every block has run.  Returns the mini-batch
-    counts and a metrics row.
+    advanced once, after every block has run; the z block also moves
+    the word-table sources it rebuilds (``state.word_src``).
+    ``tables`` carries the slice's word tables between iterations;
+    without it they are rebuilt from ``state.word_src``, with the same
+    result.  Returns the mini-batch counts and a metrics row.
     """
     t = state.slice_index
     seed = cfg.seed
     d_t = state.n_docs
+    if tables is None:
+        tables = WordTables(state, cfg.minibatch_size)
 
     t0 = time.perf_counter()
     minibatch = select_minibatch(d_t, cfg.minibatch_size, rng_for(seed, "minibatch", t, iteration))
-    counts = accumulate_counts(state, minibatch)
     # the mini-batch's tokens, flat, each tagged with its row in the batch
     w, z, lengths = gather_docs(state, minibatch)
+    counts = accumulate_counts(state, minibatch, (w, z, lengths))
     rows = np.repeat(np.arange(minibatch.shape[0]), lengths)
     ms_counts = (time.perf_counter() - t0) * 1e3
 
@@ -122,7 +128,7 @@ def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
     ms_phi = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    proposals = rebuild_proposals(state, minibatch)
+    proposals = rebuild_proposals(state, minibatch, eta_mb, tables, iteration)
     z_mb = mh_sweep(eta_mb, state.phi, w, z, rows, proposals,
                     rng_for(seed, "z", t, iteration))
     z_rows = split_flat(z_mb, np.cumsum(lengths))
@@ -227,9 +233,13 @@ def run_slices(slices: dict, n_slices: int, hyper: Hyperparams, cfg: TrainConfig
     ``cfg.metrics_path``, ``metrics_sink`` and the returned list.  With
     ``cfg.checkpoint_dir`` the slices are checkpointed every
     ``cfg.checkpoint_every`` iterations and after the last one.
+
+    The slices' word-proposal tables live only while this runs: the
+    first iteration rebuilds them from each state's ``word_src``.
     """
     owned = sorted(slices)
     end = start_iteration + cfg.iterations
+    tables = {t: WordTables(slices[t], cfg.minibatch_size) for t in owned}
 
     def checkpoint(iteration):
         for t in owned:     # model's global, looked up now: tracers rebind it
@@ -246,7 +256,11 @@ def run_slices(slices: dict, n_slices: int, hyper: Hyperparams, cfg: TrainConfig
                 exchange(i, alphas, phis)
             for t in owned:
                 nb_alpha, nb_phi = neighbor_contexts(alphas, phis, t, n_slices)
-                mb_counts, row = run_iteration(slices[t], nb_alpha, nb_phi, hyper, cfg, i)
+                mb_counts, row = run_iteration(slices[t], nb_alpha, nb_phi, hyper, cfg, i,
+                                               tables[t])
+                # no later update this iteration reads slice t-1's previous values
+                alphas.pop(t - 1, None)
+                phis.pop(t - 1, None)
                 if counts is not None:
                     counts[t - 1] = mb_counts
                 metrics.append(row)

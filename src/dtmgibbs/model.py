@@ -20,7 +20,7 @@ from .corpus import Corpus, TimeSlice
 from .kernels import log_sum_exp, rng_for
 
 CHECKPOINT_MAGIC = b"DTMC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 PHI_INIT_VARIANCE = 0.01  # small symmetric-breaking noise; exact zero would
                           # leave every topic identical under the doc-proposal
@@ -118,19 +118,26 @@ class SliceState:
 
     ``advance`` moves the state one iteration on, in place and in
     O(mini-batch).
+
+    ``word_src`` is the float32 phi each of the slice's word-proposal
+    tables was last built from, (K, V), or None while every table is
+    built fresh each iteration (see ``samplers.rebuild_proposals``).
+    The tables themselves are not state: they are rebuilt from it.
     """
 
-    __slots__ = ("slice_index", "tokens", "alpha", "phi", "phi_log_norm",
-                 "eta", "eta_log_norm", "z")
+    __slots__ = ("slice_index", "tokens", "n_tokens", "alpha", "phi", "phi_log_norm",
+                 "eta", "eta_log_norm", "z", "word_src")
 
     def __init__(self, slice_index: int, tokens, alpha, phi, eta, z,
-                 phi_log_norm=None):
+                 phi_log_norm=None, word_src=None):
         self.slice_index = slice_index
         self.tokens = tokens          # list of int32 arrays, shared with the corpus
+        self.n_tokens = sum(map(len, tokens))
         self.alpha = alpha            # (K,)
         self.phi = phi                # (K, V)
         self.eta = eta                # (D_t, K)
         self.z = z                    # list of int32 arrays, aligned with tokens
+        self.word_src = word_src      # (K, V) float32 or None
         self.eta_log_norm = np.empty(eta.shape[0])
         self.refresh_eta_norm()
         if phi_log_norm is None:
@@ -246,8 +253,10 @@ def gather_docs(slice_state: SliceState, docs: np.ndarray):
     return w_all, np.concatenate(z), lengths
 
 
-def accumulate_counts(slice_state: SliceState, doc_subset) -> CountSet:
+def accumulate_counts(slice_state: SliceState, doc_subset, gathered=None) -> CountSet:
     """Tally counts over a document subset only (the mini-batch).
+    ``gathered`` is ``gather_docs(slice_state, doc_subset)`` when the
+    caller already has it.
 
     Each table is one scatter-add over int32 keys: a ``bincount`` of
     ``row*K + z`` for ``c_doc``, and an ``add.at`` of ``z*V + w`` into
@@ -261,7 +270,9 @@ def accumulate_counts(slice_state: SliceState, doc_subset) -> CountSet:
     m = docs.shape[0]
     if m == 0:
         return cs
-    w_all, z_all, lengths = gather_docs(slice_state, docs)
+    if gathered is None:
+        gathered = gather_docs(slice_state, docs)
+    w_all, z_all, lengths = gathered
     key = np.repeat(np.arange(0, m * k, k, dtype=np.int32), lengths)
     key += z_all
     cs.docs = docs
@@ -277,13 +288,14 @@ def accumulate_counts(slice_state: SliceState, doc_subset) -> CountSet:
 # ---------------------------------------------------------------------------
 # Checkpoints: one versioned binary file per slice, little-endian throughout.
 # Layout: magic, version, master_seed u64, iteration u32, T u32, K u32, V u32,
-# D_t u32, slice_index u32, alpha (K f8), phi (K*V f8), eta (D_t*K f8),
-# doc lengths (D_t u32), z (sum(lengths) i32), then a u32 CRC-32 of all the
-# bytes before it.  Files are written under a temporary name and renamed
+# D_t u32, slice_index u32, has_word_src u8, alpha (K f8), phi (K*V f8),
+# word_src (K*V f4, only if has_word_src is 1), eta (D_t*K f8), doc lengths
+# (D_t u32), z (sum(lengths) i32), then a u32 CRC-32 of all the bytes
+# before it.  Files are written under a temporary name and renamed
 # into place, so a reader sees the old file or the new one, never a mix.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sBQIIIIII")
+_HEADER = struct.Struct("<4sBQIIIIIIB")
 _CRC = struct.Struct("<I")
 
 
@@ -294,9 +306,11 @@ def checkpoint_path(directory, slice_index: int) -> Path:
 def _checkpoint_chunks(sl: SliceState, master_seed: int, iteration: int, t_total: int):
     k, v, d_t = sl.k, sl.v, sl.n_docs
     yield _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, master_seed, iteration,
-                       t_total, k, v, d_t, sl.slice_index)
+                       t_total, k, v, d_t, sl.slice_index, sl.word_src is not None)
     yield sl.alpha.astype("<f8").tobytes()
     yield sl.phi.astype("<f8").tobytes()
+    if sl.word_src is not None:
+        yield sl.word_src.astype("<f4").tobytes()
     yield sl.eta.astype("<f8").tobytes()
     yield np.asarray([len(z) for z in sl.z], dtype="<u4").tobytes()
     yield (np.concatenate(sl.z).astype("<i4") if d_t else np.empty(0, "<i4")).tobytes()
@@ -336,8 +350,8 @@ def read_slice_checkpoint(path) -> dict:
     if len(blob) < _HEADER.size + _CRC.size:
         raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
                          f"its header and checksum need {_HEADER.size + _CRC.size})")
-    magic, version, master_seed, iteration, t_total, k, v, d_t, slice_index = \
-        _HEADER.unpack_from(blob, 0)
+    (magic, version, master_seed, iteration, t_total, k, v, d_t, slice_index,
+     has_word_src) = _HEADER.unpack_from(blob, 0)
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
     if version != CHECKPOINT_VERSION:
@@ -357,6 +371,7 @@ def read_slice_checkpoint(path) -> dict:
 
     alpha = take("<f8", k).copy()
     phi = take("<f8", k * v).reshape(k, v).copy()
+    word_src = take("<f4", k * v).reshape(k, v).copy() if has_word_src else None
     eta = take("<f8", d_t * k).reshape(d_t, k).copy()
     lengths = take("<u4", d_t).copy()
     z_flat = take("<i4", int(lengths.sum()))
@@ -368,7 +383,7 @@ def read_slice_checkpoint(path) -> dict:
     z = split_flat(z_flat, np.cumsum(lengths, dtype=np.int64))
     return {"master_seed": master_seed, "iteration": iteration, "T": t_total,
             "K": k, "V": v, "D_t": d_t, "slice_index": slice_index,
-            "alpha": alpha, "phi": phi, "eta": eta, "z": z}
+            "alpha": alpha, "phi": phi, "word_src": word_src, "eta": eta, "z": z}
 
 
 def load_checkpoint(directory, corpus: Corpus, hyper: Hyperparams) -> tuple[ModelState, int, int]:
@@ -401,7 +416,7 @@ def load_checkpoint(directory, corpus: Corpus, hyper: Hyperparams) -> tuple[Mode
             if zd.shape[0] != wd.shape[0]:
                 raise ValueError("checkpoint z lengths do not match corpus documents")
         state = SliceState(sl.slice_index, tokens, data["alpha"], data["phi"],
-                           data["eta"], data["z"])
+                           data["eta"], data["z"], word_src=data["word_src"])
         slices.append(state)
         counts.append(accumulate_counts(state, range(sl.n_docs)))
     model = ModelState(hyper=hyper, slices=slices, counts=counts,

@@ -9,7 +9,9 @@
   mini-batch word counts, with the chained-Gaussian prior;
 * token assignments z: cyclic Metropolis-Hastings with alias-table
   proposals: one doc-proposal then one word-proposal per token,
-  amortized O(1) per token.
+  amortized O(1) per token, table builds included: an iteration
+  rebuilds about one word table per K mini-batch tokens, and the MH
+  test corrects for the tables it did not rebuild.
 
 The gradient and Langevin functions take one row or a stack of rows
 (a mini-batch's eta, all K rows of phi); each row of a stacked result
@@ -34,6 +36,7 @@ from .model import Hyperparams, SliceState
 __all__ = [
     "NeighborContext",
     "MhProposalState",
+    "WordTables",
     "alpha_posterior",
     "sample_alpha",
     "grad_log_post_eta",
@@ -214,38 +217,111 @@ class MhProposalState:
     """One iteration's proposal tables, stacked.
 
     Row i of ``doc_prob``/``doc_alias`` is the alias table over exp(eta_d)
-    of document ``docs[i]``; row w of ``word_prob``/``word_alias`` is the
-    table over exp(phi[:, w]).  The sweep reads both by gather; no table
-    keeps a pool of draws.  They are rebuilt every iteration because the
-    parameters they were built from move every iteration.
+    of document ``docs[i]``, built fresh each iteration; row w of
+    ``word_prob``/``word_alias`` is the table over exp(src[:, w]).  With
+    ``word_src`` None, src is the phi the sweep reads; otherwise src is
+    ``word_src``, the possibly older phi each word table was built from,
+    and the sweep corrects for the difference.  The sweep reads the
+    tables by gather; no table keeps a pool of draws.
     """
 
-    __slots__ = ("docs", "doc_prob", "doc_alias", "word_prob", "word_alias")
+    __slots__ = ("docs", "doc_prob", "doc_alias", "word_prob", "word_alias",
+                 "word_src")
 
-    def __init__(self, docs, doc_prob, doc_alias, word_prob, word_alias):
+    def __init__(self, docs, doc_prob, doc_alias, word_prob, word_alias,
+                 word_src=None):
         self.docs = docs
         self.doc_prob = doc_prob
         self.doc_alias = doc_alias
         self.word_prob = word_prob
         self.word_alias = word_alias
+        self.word_src = word_src
 
 
-def rebuild_proposals(slice_state: SliceState, minibatch) -> MhProposalState:
-    """Fresh proposal tables for one iteration: the mini-batch's doc tables
-    and the V word tables, each kind built in one stacked alias
-    construction.  Draws nothing."""
+class WordTables:
+    """A slice's V word-proposal tables, kept from one iteration to the next.
+
+    ``budget`` is B = ceil(n_mb * L / K), at least 1: n_mb is
+    min(minibatch_size, D_t) and L the slice's mean document length, so
+    an iteration rebuilds about one table per K mini-batch tokens.
+    ``prob``/``alias`` are (V, K), or None until the first
+    ``rebuild_proposals`` call builds them.
+    """
+
+    __slots__ = ("budget", "prob", "alias")
+
+    def __init__(self, slice_state: SliceState, minibatch_size: int):
+        d_t, k = slice_state.n_docs, slice_state.k
+        n_mb = min(minibatch_size, d_t)
+        self.budget = max(1, -(-n_mb * slice_state.n_tokens // max(d_t * k, 1)))
+        self.prob = self.alias = None
+
+
+def rebuild_proposals(slice_state: SliceState, minibatch, eta_mb=None,
+                      tables: WordTables | None = None,
+                      iteration: int = 0) -> MhProposalState:
+    """Proposal tables for one iteration; draws nothing.
+
+    The mini-batch's doc tables are built fresh from ``eta_mb`` (the
+    mini-batch's eta rows, gathered here if None).  Without ``tables``,
+    or when its budget B covers all V words, every word table is built
+    fresh from phi and the state keeps no ``word_src``.  Otherwise only
+    the B tables of words (iteration*B + j) mod V, j < B, are rebuilt
+    from phi, and ``slice_state.word_src`` takes their columns; the
+    other tables stay as they were built.  Tables that ``tables`` lacks
+    (the first call of a run) are built from ``word_src``, in chunks of
+    as many rows as an iteration's own build, so that no build holds
+    more temporaries; a state without ``word_src`` takes it from phi
+    first.  Each table depends on its own column alone, so the tables
+    are the same whichever call built them; the B rebuilt word tables
+    share one stacked construction with the doc tables.
+    """
     docs = np.asarray(minibatch, dtype=np.int64).reshape(-1)
-    eta = slice_state.eta[docs]
-    doc_prob, doc_alias = build_alias_matrix(
-        np.exp(eta - eta.max(axis=1, keepdims=True)))
-    word_prob, word_alias = build_word_tables(slice_state.phi)
-    return MhProposalState(docs, doc_prob, doc_alias, word_prob, word_alias)
+    if eta_mb is None:
+        eta_mb = slice_state.eta[docs]
+    doc_weights = np.exp(eta_mb - eta_mb.max(axis=1, keepdims=True))
+    v = slice_state.v
+    if tables is None or tables.budget >= v:
+        if tables is not None:
+            slice_state.word_src = None
+        doc_prob, doc_alias = build_alias_matrix(doc_weights)
+        word_prob, word_alias = build_word_tables(slice_state.phi)
+        return MhProposalState(docs, doc_prob, doc_alias, word_prob, word_alias)
+
+    b = tables.budget
+    src = slice_state.word_src
+    stale = src is not None
+    if not stale:
+        src = slice_state.word_src = slice_state.phi.astype(np.float32)
+    n = docs.shape[0]
+    if tables.prob is None:
+        tables.prob = np.empty((v, slice_state.k))
+        tables.alias = np.empty((v, slice_state.k), dtype=np.int64)
+        for start in range(0, v, n + b):
+            end = start + n + b
+            tables.prob[start:end], tables.alias[start:end] = build_word_tables(
+                src[:, start:end].astype(np.float64))
+    if stale:
+        cols = (iteration * b + np.arange(b)) % v
+        src[:, cols] = slice_state.phi[:, cols]
+        prob, alias = build_alias_matrix(np.concatenate(
+            [doc_weights, _word_weights(src[:, cols].astype(np.float64))]))
+        tables.prob[cols], tables.alias[cols] = prob[n:], alias[n:]
+    else:
+        prob, alias = build_alias_matrix(doc_weights)
+    return MhProposalState(docs, prob[:n], alias[:n], tables.prob, tables.alias, src)
+
+
+def _word_weights(phi: np.ndarray) -> np.ndarray:
+    """(n, K) weights of the word tables of phi's n columns: row w is
+    exp(phi[:, w]) shifted by the column max."""
+    return np.exp(phi - phi.max(axis=0)).T
 
 
 def build_word_tables(phi: np.ndarray):
-    """(prob, alias) of the V word-proposal tables, stacked (V, K): row w
-    is the alias table over exp(phi[:, w])."""
-    return build_alias_matrix(np.exp(phi - phi.max(axis=0)).T)
+    """(prob, alias) of the word-proposal tables of phi's columns, stacked
+    (V, K): row w is the alias table over exp(phi[:, w])."""
+    return build_alias_matrix(_word_weights(phi))
 
 
 def mh_sweep(eta, phi, w, z, rows, proposals: MhProposalState,
@@ -258,10 +334,13 @@ def mh_sweep(eta, phi, w, z, rows, proposals: MhProposalState,
     (eta, phi), so the batch is one doc step over every token, then one
     word step.  A doc step proposes s ~ exp(eta_d) and accepts with
     min(1, exp(phi[s,w] - phi[z,w])); a word step proposes
-    s ~ exp(phi[:,w]) and accepts with min(1, exp(eta_d[s] - eta_d[z])).
-    The ratios are exact because the tables were built from the
-    parameter values they read.  ``rng`` is read in a fixed order: doc
-    proposals, doc coins, word proposals, word coins.
+    s ~ exp(src[:,w]) and accepts with min(1, exp(eta_d[s] - eta_d[z]
+    + (phi[s,w] - src[s,w]) - (phi[z,w] - src[z,w]))), where src is
+    ``proposals.word_src``, the values each word table was built from.
+    With ``word_src`` None the tables were built from ``phi`` itself and
+    the correction is left out.  Either way the ratios are exact for the
+    tables drawn from.  ``rng`` is read in a fixed order: doc proposals,
+    doc coins, word proposals, word coins.
     """
     n = w.shape[0]
     s = alias_draw_stacked(proposals.doc_prob, proposals.doc_alias, rows, rng)
@@ -271,6 +350,12 @@ def mh_sweep(eta, phi, w, z, rows, proposals: MhProposalState,
     s2 = alias_draw_stacked(proposals.word_prob, proposals.word_alias, w, rng)
     flat, base = eta.ravel(), rows * eta.shape[1]   # flat gathers beat 2-D ones
     log_a = flat[base + s2] - flat[base + z1]
+    src = proposals.word_src
+    if src is not None:
+        v = phi.shape[1]
+        pf, sf = phi.ravel(), src.ravel()
+        i_s, i_z = s2 * v + w, z1 * v + w
+        log_a += (pf[i_s] - sf[i_s]) - (pf[i_z] - sf[i_z])
     z2 = np.where(np.log(rng.random(n)) < log_a, s2, z1)
     return z2.astype(np.int32)
 
@@ -285,7 +370,7 @@ def mh_sweep_document(slice_state: SliceState, d: int, proposals: MhProposalStat
         i = docs.index(d)
         one = MhProposalState(proposals.docs[i:i + 1], proposals.doc_prob[i:i + 1],
                               proposals.doc_alias[i:i + 1], proposals.word_prob,
-                              proposals.word_alias)
+                              proposals.word_alias, proposals.word_src)
     w = slice_state.tokens[d]
     return mh_sweep(slice_state.eta[d:d + 1], slice_state.phi, w, slice_state.z[d],
                     np.zeros(w.shape[0], dtype=np.int64), one, rng)

@@ -15,6 +15,7 @@ settings.load_profile("dtmgibbs")
 
 from dtmgibbs.corpus import (BAG_OF_WORDS_DIR, Corpus, Document, LoadReport,
                              TimeSlice, Vocabulary)
+from dtmgibbs.engine import TrainConfig
 from dtmgibbs.model import Hyperparams
 from dtmgibbs.synthetic import generate_synthetic
 
@@ -26,6 +27,17 @@ def small_synthetic():
     corpus, params = generate_synthetic(hyper, v=40, n_slices=3,
                                         docs_per_slice=25, doc_len=30, seed=17)
     return hyper, corpus, params
+
+
+@pytest.fixture(scope="session")
+def stale_synthetic():
+    """A corpus on which training rebuilds B < V word tables per
+    iteration: K=8, V=200, mini-batches of 6 twenty-token documents
+    give B = ceil(6 * 20 / 8) = 15."""
+    hyper = Hyperparams(K=8)
+    corpus, _ = generate_synthetic(hyper, v=200, n_slices=4,
+                                   docs_per_slice=12, doc_len=20, seed=19)
+    return hyper, corpus, TrainConfig(iterations=6, minibatch_size=6, seed=3)
 
 
 @pytest.fixture
@@ -57,13 +69,16 @@ def alpha_mean_long_form(neighbors, eta_bar, d_t: int, hyper) -> np.ndarray:
 
 
 def states_equal(a, b) -> bool:
-    """Bitwise equality of two model states, token assignments included."""
+    """Bitwise equality of two model states, token assignments and
+    word-table sources included."""
     if len(a.slices) != len(b.slices):
         return False
     for x, y in zip(a.slices, b.slices):
         if not (np.array_equal(x.alpha, y.alpha)
                 and np.array_equal(x.phi, y.phi)
                 and np.array_equal(x.eta, y.eta)
+                and (x.word_src is None) == (y.word_src is None)
+                and (x.word_src is None or np.array_equal(x.word_src, y.word_src))
                 and len(x.z) == len(y.z)
                 and all(np.array_equal(za, zb) for za, zb in zip(x.z, y.z))):
             return False

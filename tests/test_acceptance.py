@@ -28,7 +28,8 @@ from dtmgibbs.kernels import (SgldSchedule, alias_draw, build_alias_table,
                               log_sum_exp, rng_for, softmax, step_size)
 from dtmgibbs.model import (Hyperparams, SliceState, accumulate_counts,
                             init_state)
-from dtmgibbs.samplers import (NeighborContext, alpha_posterior,
+from dtmgibbs.samplers import (MhProposalState, NeighborContext,
+                               alpha_posterior, build_word_tables,
                                grad_log_post_eta, grad_log_post_phi,
                                mh_sweep_document, rebuild_proposals,
                                sample_alpha, sample_tokens_exact,
@@ -161,6 +162,37 @@ class TestCriterion3MhStationarity:
         report(3, "MH stationarity", tv < 0.01 and elapsed < 60,
                f"TV {tv:.5f} after {steps:.0e} token-steps of the document "
                f"sweep (< 0.01), {elapsed:.1f}s (< 60s)")
+
+    def test_stale_word_tables_total_variation(self):
+        # the same chain, its word tables built from a perturbed phi held
+        # as word_src: the sweep's correction keeps the target exact
+        t0 = time.perf_counter()
+        k, v, w = 3, 6, 4
+        n, burn_in, tallied = 10_000, 10, 100
+        rng0 = np.random.default_rng(302)
+        eta = rng0.normal(size=(1, k))
+        phi = rng0.normal(size=(k, v))
+        src = (phi + rng0.normal(scale=1.5, size=(k, v))).astype(np.float32)
+        state = SliceState(1, [np.full(n, w, dtype=np.int32)], np.zeros(k),
+                           phi, eta, [np.zeros(n, dtype=np.int32)])
+        target = softmax(eta[0] + phi[:, w])
+        mrng = rng_for(303, "chain")
+        fresh = rebuild_proposals(state, [0])
+        word_prob, word_alias = build_word_tables(src.astype(np.float64))
+        props = MhProposalState(fresh.docs, fresh.doc_prob, fresh.doc_alias,
+                                word_prob, word_alias, src)
+        counts = np.zeros(k)
+        for sweep in range(burn_in + tallied):
+            state.z[0] = mh_sweep_document(state, 0, props, mrng)
+            if sweep >= burn_in:
+                counts += np.bincount(state.z[0], minlength=k)
+        steps = n * tallied
+        tv = 0.5 * float(np.abs(counts / steps - target).sum())
+        proposal_tv = 0.5 * float(np.abs(softmax(src[:, w]) - softmax(phi[:, w])).sum())
+        elapsed = time.perf_counter() - t0
+        report(3, "MH stationarity, stale word tables", tv < 0.01 and elapsed < 60,
+               f"TV {tv:.5f} after {steps:.0e} token-steps, word tables built from "
+               f"a phi {proposal_tv:.2f} TV away (< 0.01), {elapsed:.1f}s (< 60s)")
 
 
 class TestCriterion4AliasCorrectness:

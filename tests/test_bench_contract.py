@@ -119,3 +119,68 @@ def test_traced_run_keeps_every_counter(tmp_path):
     assert absent == []
     assert metrics["samplers.mh_sweep.tokens"] > 0
     assert metrics["evaluation.infer_doc_eta.calls"] > 0
+
+
+def test_traced_stale_run_counts_every_alias_row(tmp_path):
+    # with B < V word tables rebuilt per iteration, the kernels.alias_rows
+    # counter still reads every row built: per slice the mini-batch's doc
+    # rows each iteration, the V word rows once and B word rows in every
+    # later iteration; then per scored slice V word rows and one doc row
+    # per inner step of each scored document
+    from time import perf_counter
+
+    from dtmgibbs import engine, evaluation
+    from dtmgibbs.corpus import split_holdout
+    from dtmgibbs.model import Hyperparams
+    from dtmgibbs.synthetic import generate_synthetic
+
+    tracing = load_tracing()
+    hyper = Hyperparams(K=4)
+    corpus, _ = generate_synthetic(hyper, v=60, n_slices=2, docs_per_slice=20,
+                                   doc_len=10, seed=5)
+    split = split_holdout(corpus, 0.2, 0.5, seed=1)
+    iterations, minibatch, inner_steps = 3, 5, 3
+    tracer = tracing.Tracer(tmp_path / "trace")
+    tracer.install()
+    try:
+        start = perf_counter()
+        state = engine.train(split.train, hyper,
+                             engine.TrainConfig(iterations=iterations,
+                                                minibatch_size=minibatch)).state
+        evaluation.perplexity(split, state,
+                              evaluation.EvalConfig(inner_steps=inner_steps))
+        end = perf_counter()
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.collect()
+    assert tracer.broken_counters == set()
+    metrics, absent = tracing.layer_metrics(tracer, spans, counts, start, end, end - start)
+    assert absent == []
+
+    v = corpus.vocabulary.size
+    expected = 0
+    for sl in state.slices:
+        n_mb = min(minibatch, sl.n_docs)
+        budget = -(-n_mb * sl.n_tokens // (sl.n_docs * hyper.K))
+        assert budget < v
+        expected += iterations * n_mb + v + (iterations - 1) * budget
+    scored = [td for td in split.test if td.heldout.size and td.observed.size]
+    expected += v * len({td.slice_index for td in split.test})
+    expected += inner_steps * len(scored)
+    assert metrics["kernels.alias_rows"] == expected
+
+
+def test_checkpoint_lands_where_the_byte_counter_reads(tmp_path):
+    # the tracer's checkpoint counter stats this path after every
+    # write_slice_checkpoint call, and does not catch an OSError
+    from dtmgibbs import model
+    from dtmgibbs.model import Hyperparams, init_state
+    from dtmgibbs.synthetic import generate_synthetic
+
+    hyper = Hyperparams(K=3)
+    corpus, _ = generate_synthetic(hyper, v=20, n_slices=2, docs_per_slice=5,
+                                   doc_len=8, seed=4)
+    state = init_state(corpus, hyper, 1)
+    for sl in state.slices:
+        model.write_slice_checkpoint(tmp_path / "ck", sl, 1, 0, state.n_slices)
+        assert model.checkpoint_path(tmp_path / "ck", sl.slice_index).is_file()

@@ -190,6 +190,20 @@ class TestEvalCommand:
         assert code == 2
         assert "checksum mismatch" in capsys.readouterr().err
 
+    def test_version_2_checkpoint_exit_2(self, tmp_path, corpus_file, capsys):
+        code, out = run_train(tmp_path, corpus_file)
+        assert code == 0
+        ckpt = out / "checkpoints" / "slice_0001.dtmc"
+        blob = bytearray(ckpt.read_bytes())
+        blob[4] = 2                     # a file of the previous layout
+        ckpt.write_bytes(bytes(blob))
+        code = main(["eval", "--corpus", str(corpus_file), "--out", str(out),
+                     "--topics", "3", "--inner-steps", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 2" in err
+        assert "Traceback" not in err
+
     def test_dimension_mismatch_exit_2(self, tmp_path, corpus_file):
         code, out = run_train(tmp_path, corpus_file)
         code = main(["eval", "--corpus", str(corpus_file), "--out", str(out),

@@ -377,6 +377,17 @@ class TestDistributedRuns:
         assert states_equal(seq, sock)
 
 
+    def test_socket_workers_equal_sequential_with_stale_tables(self, stale_synthetic,
+                                                              tmp_path):
+        # B=15 < V=200: each worker carries its own slices' word tables
+        hyper, corpus, cfg = stale_synthetic
+        seq = train(corpus, hyper, cfg).state
+        assert all(sl.word_src is not None for sl in seq.slices)
+        sock = run_distributed_sockets(corpus, hyper, cfg, tmp_path / "ck",
+                                       assignment=default_topology(4, workers=2))
+        assert states_equal(seq, sock)
+
+
 class TestSocketFailures:
     def test_unreachable_peer_raises_after_retries(self):
         from dtmgibbs.cluster import free_ports

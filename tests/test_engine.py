@@ -1,5 +1,6 @@
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from conftest import check_invariants, states_equal
 from dtmgibbs.engine import (METRICS_FIELDS, NumericError, TrainConfig,
                              run_iteration, select_minibatch, train)
 from dtmgibbs.kernels import log_sum_exp, rng_for
-from dtmgibbs.model import Hyperparams, SliceState, gather_docs, init_state
+from dtmgibbs.model import (Hyperparams, SliceState, gather_docs, init_state,
+                            load_checkpoint)
 from dtmgibbs.samplers import NeighborContext
 from dtmgibbs.synthetic import generate_synthetic
 
@@ -164,6 +166,65 @@ class TestTrain:
         gutted = Corpus(vocabulary=corpus.vocabulary, slices=slices)
         res = train(gutted, hyper, TrainConfig(iterations=3, minibatch_size=4, seed=1))
         assert np.all(np.isfinite(res.state.slices[1].alpha))
+
+
+class TestStaleWordTables:
+    """On a shape whose budget B is below V, an iteration rebuilds B word
+    tables and the others stay stale (``stale_synthetic``: B=15, V=200)."""
+
+    def test_resumed_runs_equal_uninterrupted(self, stale_synthetic, tmp_path):
+        hyper, corpus, cfg = stale_synthetic
+        full = train(corpus, hyper, cfg).state
+        assert all(sl.word_src is not None for sl in full.slices)
+        first = replace(cfg, iterations=2)
+        rest = replace(cfg, iterations=cfg.iterations - 2)
+        # from the checkpoint written at iteration 2
+        train(corpus, hyper, replace(first, checkpoint_dir=str(tmp_path / "ck")))
+        loaded, seed, it = load_checkpoint(tmp_path / "ck", corpus, hyper)
+        assert (seed, it) == (cfg.seed, 2)
+        resumed = train(corpus, hyper, rest, state=loaded, start_iteration=it).state
+        assert states_equal(full, resumed)
+        # from the in-memory state, whose tables train() dropped on return
+        part = train(corpus, hyper, first).state
+        continued = train(corpus, hyper, rest, state=part, start_iteration=2).state
+        assert states_equal(full, continued)
+
+    def test_state_keeps_float32_sources_and_no_tables(self, stale_synthetic):
+        hyper, corpus, cfg = stale_synthetic
+        state = train(corpus, hyper, replace(cfg, iterations=3)).state
+        v = corpus.vocabulary.size
+        for sl in state.slices:
+            assert sl.word_src.dtype == np.float32
+            assert sl.word_src.shape == (hyper.K, v)
+            held = [name for name in SliceState.__slots__
+                    if isinstance(getattr(sl, name), np.ndarray)
+                    and getattr(sl, name).shape in ((v, hyper.K), (hyper.K, v))]
+            assert held == ["phi", "word_src"]
+
+    @pytest.mark.parametrize("k", [50, 500])
+    def test_word_rows_built_per_iteration_equal_budget(self, monkeypatch, k):
+        # V=1000, one slice of 60 hundred-token documents, mini-batch 60:
+        # B = ceil(60 * 100 / K), 120 at K=50 and 12 at K=500
+        import dtmgibbs.samplers as samplers
+        hyper = Hyperparams(K=k)
+        corpus, _ = generate_synthetic(hyper, v=1000, n_slices=1,
+                                       docs_per_slice=60, doc_len=100, seed=k)
+        built = [0]                     # rows built, one entry per iteration
+        build = samplers.build_alias_matrix
+
+        def counting_build(rows):
+            built[-1] += np.shape(rows)[0]
+            return build(rows)
+
+        monkeypatch.setattr(samplers, "build_alias_matrix", counting_build)
+        budget = -(-60 * 100 // k)
+        state = init_state(corpus, hyper, 0)
+        assert samplers.WordTables(state.slices[0], 60).budget == budget
+        train(corpus, hyper, TrainConfig(iterations=4, minibatch_size=60), state=state,
+              metrics_sink=lambda row: built.append(0))
+        assert built.pop() == 0         # the sink runs after each iteration
+        assert built[0] == 60 + 1000    # iteration 0 builds every word table
+        assert built[1:] == [60 + budget] * 3
 
 
 class TestLearningTrend:

@@ -34,13 +34,13 @@ CONFIGS = {
 
 DIGESTS = {
     "k10-v200-d300":
-        "998da598118084fea2bcbd0e18069279d0bf8b5eeaf2b2df5c1553b10c7a852b",
+        "b1e7ed416c680c123adc7506ce17a2e1ca8d3a31720161a875d61c0d942b3533",
     "k50-v1000-d60":
-        "00e39cd64353c3102d291f78a011341d1a61606487d4be234caa9457500b36be",
+        "f8dd1137c758637cb725ebc9eb3b65b932331435d60cbcba702caa0fc6a9274c",
     "k3-v20-d30":
         "c4daa2b02a4c6812bbec992417767e6b395dfac7e71a1231aaa5a660e4b25b45",
     "k8-v50-d20":
-        "6c71f4aa5e1bc9e0f9df0ef2a0e72aaab9b35e32b94bf6b211996b323821a049",
+        "236c9362fd2cbbfaea00a4f62ef442f5f6791d7642ba1b55798bbbdfee584523",
 }
 
 

@@ -194,6 +194,28 @@ class TestCheckpoints:
             read_slice_checkpoint(path)
 
 
+    def test_version_2_file_rejected(self, tmp_path):
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=5)
+        path = checkpoint_path(tmp_path / "ck", 1)
+        blob = bytearray(path.read_bytes())
+        blob[4] = 2                     # the version byte, after the magic
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_checkpoint(tmp_path / "ck", c, Hyperparams(K=2))
+
+    def test_word_src_round_trip(self, tmp_path):
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        src = np.random.default_rng(2).normal(size=(2, 3)).astype(np.float32)
+        st.slices[0].word_src = src
+        write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=5)
+        loaded, _, _ = load_checkpoint(tmp_path / "ck", c, Hyperparams(K=2))
+        assert loaded.slices[0].word_src.dtype == np.float32
+        np.testing.assert_array_equal(loaded.slices[0].word_src, src)
+        assert loaded.slices[1].word_src is None
+
     @pytest.mark.parametrize("where", ["header", "phi", "z"])
     def test_flipped_byte_rejected(self, tmp_path, where):
         c = make_corpus(tmp_path)
@@ -202,9 +224,9 @@ class TestCheckpoints:
         path = checkpoint_path(tmp_path / "ck", 1)
         blob = bytearray(path.read_bytes())
         # header: the iteration field, which no structural check can catch;
-        # phi: its first byte after the 37-byte header and K alpha floats;
+        # phi: its first byte after the 38-byte header and K alpha floats;
         # z: the last byte before the 4-byte checksum
-        offset = {"header": 13, "phi": 37 + 2 * 8, "z": len(blob) - 5}[where]
+        offset = {"header": 13, "phi": 38 + 2 * 8, "z": len(blob) - 5}[where]
         blob[offset] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum"):

@@ -8,12 +8,12 @@ from scipy import stats
 from dtmgibbs.kernels import (AliasTable, alias_draw_stacked, build_alias_table,
                               log_sum_exp, rng_for, softmax)
 from dtmgibbs.model import Hyperparams, SliceState
-from dtmgibbs.samplers import (MhProposalState, NeighborContext,
-                               alpha_posterior, grad_log_post_eta,
-                               grad_log_post_phi, mh_sweep_document,
-                               rebuild_proposals, sample_alpha,
-                               sample_tokens_exact, sgld_update_eta,
-                               sgld_update_phi)
+from dtmgibbs.samplers import (MhProposalState, NeighborContext, WordTables,
+                               alpha_posterior, build_word_tables,
+                               grad_log_post_eta, grad_log_post_phi,
+                               mh_sweep_document, rebuild_proposals,
+                               sample_alpha, sample_tokens_exact,
+                               sgld_update_eta, sgld_update_phi)
 
 
 def central_diff(f, x, h=1e-5):
@@ -390,7 +390,39 @@ class TestProposals:
             np.testing.assert_array_equal(props.word_prob[w], table.prob)
             np.testing.assert_array_equal(props.word_alias[w], table.alias)
         assert set(MhProposalState.__slots__) == {"docs", "doc_prob", "doc_alias",
-                                                  "word_prob", "word_alias"}
+                                                  "word_prob", "word_alias", "word_src"}
+
+
+class TestWordTableBudget:
+    def test_budget_is_ceil_of_minibatch_tokens_over_k(self):
+        sl = toy_slice(7, 50, 10, 9, seed=12)        # 90 tokens over 10 docs
+        assert WordTables(sl, 4).budget == 6         # ceil(4 * 9 / 7)
+        assert WordTables(sl, 100).budget == 13      # all 10 docs: ceil(90 / 7)
+
+    def test_empty_slice_budget_is_one(self):
+        sl = SliceState(2, [], np.zeros(3), np.zeros((3, 5)), np.zeros((0, 3)), [])
+        assert WordTables(sl, 60).budget == 1
+
+    def test_stale_rebuild_refreshes_budget_columns_round_robin(self):
+        sl = toy_slice(4, 10, 3, 8, seed=13)
+        tables = WordTables(sl, 1)                   # ceil(8 / 4) = 2
+        assert tables.budget == 2
+        props = rebuild_proposals(sl, [0], tables=tables, iteration=0)
+        np.testing.assert_array_equal(sl.word_src, sl.phi.astype(np.float32))
+        assert props.word_src is sl.word_src
+        first = sl.word_src.copy()
+        sl.phi = sl.phi + 1.0
+        for i in (1, 2, 6):                # columns 2i, 2i+1 mod 10; 6 wraps to 2, 3
+            rebuild_proposals(sl, [0], tables=tables, iteration=i)
+        moved = [2, 3, 4, 5]
+        kept = [c for c in range(10) if c not in moved]
+        np.testing.assert_array_equal(sl.word_src[:, moved],
+                                      sl.phi[:, moved].astype(np.float32))
+        np.testing.assert_array_equal(sl.word_src[:, kept], first[:, kept])
+        # each kept table is the one built from its source column
+        prob, alias = build_word_tables(sl.word_src.astype(np.float64))
+        np.testing.assert_array_equal(tables.prob, prob)
+        np.testing.assert_array_equal(tables.alias, alias)
 
 
 def force_proposals(props, d: int, doc_topic: int, word_topic: int) -> None:
