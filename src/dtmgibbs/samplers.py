@@ -296,7 +296,9 @@ def rebuild_proposals(slice_state: SliceState, minibatch, eta_mb=None,
     n = docs.shape[0]
     if tables.prob is None:
         tables.prob = np.empty((v, slice_state.k))
-        tables.alias = np.empty((v, slice_state.k), dtype=np.int64)
+        # alias entries are topic ids below K: the smallest type that
+        # holds them keeps the tables a run carries small
+        tables.alias = np.empty((v, slice_state.k), dtype=np.min_scalar_type(-slice_state.k))
         for start in range(0, v, n + b):
             end = start + n + b
             tables.prob[start:end], tables.alias[start:end] = build_word_tables(
