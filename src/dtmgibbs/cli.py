@@ -1,13 +1,18 @@
 """Command-line front end: train, evaluate, export trends, generate
 synthetic corpora, and run distributed workers from one entry point.
 
-Configuration is a flat ``key = value`` text file (UTF-8, ``#``
-comments); every key has a flag equivalent and flags win.  The resolved
-configuration, master seed and build id are recorded in a manifest in
-the output directory before any compute starts.
+Every setting is declared once, in ``SETTINGS`` or a command's part of
+``COMMAND_SETTINGS``: its default and its parser.  Each is a key of the
+flat ``key = value`` config file (UTF-8, ``#`` comments) and a flag;
+flags win.  Every value is parsed before a command reads its corpus, so
+a bad one is a configuration error naming the key, and no manifest is
+written.  The resolved configuration, master seed and build id are
+recorded in a manifest in the output directory before any compute
+starts.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
-abort (diagnostic names the parameter block), 4 peer/topology failure.
+Exit codes, mapped from errors by ``main`` alone: 0 success, 1
+configuration error, 2 data error, 3 numeric abort (diagnostic names
+the parameter block), 4 peer/topology failure.
 """
 
 from __future__ import annotations
@@ -60,76 +65,111 @@ def parse_schedule(text: str):
     return schedule
 
 
-def _setting(settings: dict, key: str, parse, low=None):
-    """``parse(settings[key])``, at least ``low`` if given; a value that
-    fails is a configuration error that names the key."""
-    try:
-        value = parse(settings[key])
-        if low is not None and value < low:
-            raise ValueError(f"must be >= {low}")
+def _checked(parse, ok, why: str):
+    """A setting's parser: ``parse(text)``, rejected with ``why`` unless
+    ``ok`` holds for the value."""
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(why)
         return value
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {settings[key]!r}: {exc}") from None
+    return checked
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise ValueError("must be positive")
-    return value
+def _at_least(low: int):
+    return _checked(int, lambda n: n >= low, f"must be >= {low}")
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise ValueError("must lie in (0, 1)")
-    return value
+def _one_of(*choices: str):
+    return _checked(str, lambda text: text in choices,
+                    f"must be one of {', '.join(choices)}")
 
 
-def _fraction_or_zero(text: str) -> float:
-    return 0.0 if float(text) == 0 else _fraction(text)
+_positive = _checked(float, lambda x: x > 0, "must be positive")
+_nonnegative = _checked(float, lambda x: x >= 0, "must be >= 0")
+_fraction = _checked(float, lambda x: 0 < x < 1, "must lie in (0, 1)")
+_fraction_or_zero = _checked(float, lambda x: x == 0 or 0 < x < 1,
+                             "must be 0 or lie in (0, 1)")
 
 
-_DEFAULTS = {
-    "seed": "0",
-    "topics": "50",
-    "iterations": "60",
-    "minibatch": "60",
-    "eta_schedule": "0.5,100,0.8",
-    "phi_schedule": "0.5,100,0.8",
-    "sigma2": "0.1",
-    "beta2": "0.1",
-    "psi2": "0.1",
-    "checkpoint_every": "0",
-    "test_fraction": "0.1",
-    "heldout_fraction": "0.5",
-    "split_seed": "0",
-    "inner_steps": "50",
-    "format": "slice-per-line",
+def _int_list(text: str) -> list:
+    return [int(x) for x in text.split(",")]
+
+
+# Every setting, declared once: key -> (default as text or None, parser).
+# Each key is a config-file key and a --flag (underscores as dashes).
+SETTINGS = {
+    "corpus": (None, str),
+    "out": (".", str),
+    "seed": ("0", int),
+    "topics": ("50", _at_least(1)),
+    "iterations": ("60", _at_least(0)),
+    "minibatch": ("60", _at_least(1)),
+    "eta_schedule": ("0.5,100,0.8", parse_schedule),
+    "phi_schedule": ("0.5,100,0.8", parse_schedule),
+    "sigma2": ("0.1", _positive),
+    "beta2": ("0.1", _positive),
+    "psi2": ("0.1", _positive),
+    "checkpoint_every": ("0", _at_least(0)),
+    "test_fraction": ("0.1", _fraction_or_zero),
+    "heldout_fraction": ("0.5", _fraction),
+    "split_seed": ("0", int),
+    "inner_steps": ("50", _at_least(0)),
+    "format": ("slice-per-line", _one_of("slice-per-line", "bag-of-words-dir")),
+    "topology": (None, str),
+    "worker_id": (None, int),
+    "checkpoint": (None, str),
 }
 
-_FLAG_KEYS = ("corpus", "out", "seed", "topics", "iterations", "minibatch",
-              "eta_schedule", "phi_schedule", "sigma2", "beta2", "psi2",
-              "checkpoint_every", "test_fraction",
-              "heldout_fraction", "split_seed", "inner_steps", "format",
-              "topology", "worker_id", "checkpoint")
+# Settings that only one command reads, on top of SETTINGS.
+COMMAND_SETTINGS = {
+    "trends": {
+        "topic_ids": (None, _int_list),     # None: every topic
+        "top_n": ("10", _at_least(1)),
+    },
+    "gen-synthetic": {
+        "vocab": ("100", _at_least(1)),
+        "slices": ("4", _at_least(1)),
+        "docs_per_slice": ("200", _at_least(1)),
+        "doc_len": ("100", _at_least(1)),
+        "alpha0_scale": ("1.0", _nonnegative),
+        "phi0_scale": ("2.0", _nonnegative),
+    },
+}
 
 
-def resolve_settings(args) -> dict:
-    """defaults < config file < explicit flags, all as strings."""
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+def settings_table(command: str) -> dict:
+    return {**SETTINGS, **COMMAND_SETTINGS.get(command, {})}
+
+
+def _bad_value(key: str, text: str, why) -> ConfigError:
+    return ConfigError(f"{key} = {text!r}: {why}")
+
+
+def resolve_settings(args) -> tuple[dict, dict]:
+    """(raw, values) for ``args.command``: defaults < config file <
+    explicit flags, as the strings the manifest records, and each of
+    them parsed.  A config key outside the command's table, or a value
+    its parser rejects, is a ConfigError naming the key."""
+    table = settings_table(args.command)
+    raw = {key: default for key, (default, _) in table.items() if default is not None}
+    if args.config:
         from_file = parse_config_file(args.config)
-        unknown = sorted(set(from_file).difference(_DEFAULTS, _FLAG_KEYS, ["config_path"]))
+        unknown = sorted(set(from_file).difference(table))
         if unknown:
             raise ConfigError(f"{args.config}: unknown key(s) {', '.join(unknown)}")
-        settings.update(from_file)
-        settings["config_path"] = args.config
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = str(val)
-    return settings
+        raw.update(from_file)
+    raw.update((key, getattr(args, key)) for key in table
+               if getattr(args, key) is not None)
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = table[key][1](text)
+        except ValueError as exc:
+            raise _bad_value(key, text, exc) from None
+    if args.config:
+        raw["config_path"] = args.config
+    return raw, values
 
 
 def build_id() -> str:
@@ -163,56 +203,49 @@ def write_manifest(out_dir: Path, settings: dict) -> None:
         fh.write("\n")
 
 
-def _hyper_and_config(settings):
+def _hyper_and_config(values):
     from .engine import TrainConfig
     from .model import Hyperparams
-    hyper = Hyperparams(K=_setting(settings, "topics", int, 1),
-                        sigma2=_setting(settings, "sigma2", _positive),
-                        beta2=_setting(settings, "beta2", _positive),
-                        psi2=_setting(settings, "psi2", _positive))
-    cfg = TrainConfig(iterations=_setting(settings, "iterations", int, 0),
-                      minibatch_size=_setting(settings, "minibatch", int, 1),
-                      schedule_eta=_setting(settings, "eta_schedule", parse_schedule),
-                      schedule_phi=_setting(settings, "phi_schedule", parse_schedule),
-                      seed=_setting(settings, "seed", int),
-                      checkpoint_every=_setting(settings, "checkpoint_every", int, 0))
+    hyper = Hyperparams(K=values["topics"], sigma2=values["sigma2"],
+                        beta2=values["beta2"], psi2=values["psi2"])
+    cfg = TrainConfig(iterations=values["iterations"], minibatch_size=values["minibatch"],
+                      schedule_eta=values["eta_schedule"],
+                      schedule_phi=values["phi_schedule"], seed=values["seed"],
+                      checkpoint_every=values["checkpoint_every"])
     return hyper, cfg
 
 
-def _split_config(settings):
-    """(test_fraction, heldout_fraction, split_seed), or None when
-    test_fraction is 0 and nothing is held out."""
-    test_fraction = _setting(settings, "test_fraction", _fraction_or_zero)
-    if test_fraction == 0:
-        return None
-    return (test_fraction, _setting(settings, "heldout_fraction", _fraction),
-            _setting(settings, "split_seed", int))
-
-
-def _load_split(settings, split_cfg):
+def _load_split(values):
+    """(training corpus, holdout split or None when test_fraction is 0).
+    Commands load before they write the manifest, so a run that cannot
+    read its corpus leaves none."""
     from .corpus import load_corpus, split_holdout
-    path = settings.get("corpus")
+    path = values.get("corpus")
     if not path:
         raise ConfigError("no corpus path given (flag --corpus or config key)")
     if not Path(path).exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
-    corpus = load_corpus(path, settings["format"])
-    if split_cfg is None:
+    corpus = load_corpus(path, values["format"])
+    if values["test_fraction"] == 0:
         return corpus, None
-    return corpus, split_holdout(corpus, *split_cfg)
+    split = split_holdout(corpus, values["test_fraction"], values["heldout_fraction"],
+                          values["split_seed"])
+    return split.train, split
+
+
+def _checkpoint_dir(values) -> Path:
+    return Path(values.get("checkpoint") or Path(values["out"]) / "checkpoints")
 
 
 def cmd_train(args) -> int:
     from dataclasses import replace
 
     from .engine import train
-    settings = resolve_settings(args)
-    out = Path(settings.get("out", "."))
-    hyper, cfg = _hyper_and_config(settings)
-    split_cfg = _split_config(settings)
-    write_manifest(out, settings)
-    corpus, split = _load_split(settings, split_cfg)
-    train_corpus = split.train if split is not None else corpus
+    raw, values = resolve_settings(args)
+    out = Path(values["out"])
+    hyper, cfg = _hyper_and_config(values)
+    train_corpus, _ = _load_split(values)
+    write_manifest(out, raw)
     cfg = replace(cfg, checkpoint_dir=str(out / "checkpoints"),
                   metrics_path=str(out / "metrics.csv"))
     result = train(train_corpus, hyper, cfg)
@@ -224,58 +257,41 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from .evaluation import EvalConfig, perplexity
     from .model import load_checkpoint
-    settings = resolve_settings(args)
-    out = Path(settings.get("out", "."))
-    hyper, cfg = _hyper_and_config(settings)
-    split_cfg = _split_config(settings)
-    if split_cfg is None:
+    raw, values = resolve_settings(args)
+    out = Path(values["out"])
+    hyper, _ = _hyper_and_config(values)
+    if values["test_fraction"] == 0:
         raise ConfigError("eval needs test_fraction > 0")
-    eval_cfg = EvalConfig(inner_steps=_setting(settings, "inner_steps", int, 0),
-                          seed=cfg.seed)
-    write_manifest(out, settings)
-    _, split = _load_split(settings, split_cfg)
-    ckpt = settings.get("checkpoint") or str(out / "checkpoints")
-    model, _, _ = load_checkpoint(ckpt, split.train, hyper)
-    report = perplexity(split, model, eval_cfg)
+    train_corpus, split = _load_split(values)
+    write_manifest(out, raw)
+    model, _, _ = load_checkpoint(_checkpoint_dir(values), train_corpus, hyper)
+    report = perplexity(split, model, EvalConfig(inner_steps=values["inner_steps"],
+                                                 seed=values["seed"]))
     print(report)
     report.to_csv(out / "perplexity.csv")
     return EXIT_OK
 
 
-def _top_n(text: str, v: int) -> int:
-    n = int(text)
-    if n > v:
-        raise ValueError(f"must be <= vocabulary size {v}")
-    return n
-
-
-def _topic_ids(text: str, k: int) -> list:
-    topics = [int(x) for x in text.split(",")]
-    bad = [t for t in topics if not 0 <= t < k]
-    if bad:
-        raise ValueError(f"topic {bad[0]} is not in [0, {k})")
-    return topics
-
-
 def cmd_trends(args) -> int:
     from .evaluation import export_trends
     from .model import load_checkpoint
-    settings = resolve_settings(args)
-    out = Path(settings.get("out", "."))
-    hyper, _ = _hyper_and_config(settings)
-    split_cfg = _split_config(settings)
-    picks = {"topic_ids": args.topic_ids, "top_n": str(args.top_n)}
-    topics = (_setting(picks, "topic_ids", lambda text: _topic_ids(text, hyper.K))
-              if args.topic_ids else list(range(hyper.K)))
-    top_n = _setting(picks, "top_n", int, 1)
-    corpus, split = _load_split(settings, split_cfg)
-    _setting(picks, "top_n", lambda text: _top_n(text, corpus.vocabulary.size))
-    write_manifest(out, settings)
-    train_corpus = split.train if split is not None else corpus
-    ckpt = settings.get("checkpoint") or str(out / "checkpoints")
-    model, _, _ = load_checkpoint(ckpt, train_corpus, hyper)
+    raw, values = resolve_settings(args)
+    out = Path(values["out"])
+    hyper, _ = _hyper_and_config(values)
+    topics = values.get("topic_ids", list(range(hyper.K)))
+    bad = [t for t in topics if not 0 <= t < hyper.K]
+    if bad:
+        raise _bad_value("topic_ids", raw["topic_ids"],
+                         f"topic {bad[0]} is not in [0, {hyper.K})")
+    train_corpus, _ = _load_split(values)
+    vocabulary = train_corpus.vocabulary
+    if values["top_n"] > vocabulary.size:
+        raise _bad_value("top_n", raw["top_n"],
+                         f"must be <= vocabulary size {vocabulary.size}")
+    write_manifest(out, raw)
+    model, _, _ = load_checkpoint(_checkpoint_dir(values), train_corpus, hyper)
     dest = out / "trends.csv"
-    export_trends(model, corpus.vocabulary, topics, top_n, dest)
+    export_trends(model, vocabulary, topics, values["top_n"], dest)
     print(f"wrote {dest}")
     return EXIT_OK
 
@@ -283,16 +299,15 @@ def cmd_trends(args) -> int:
 def cmd_gen_synthetic(args) -> int:
     from .corpus import save_corpus
     from .synthetic import generate_synthetic
-    settings = resolve_settings(args)
-    out = Path(settings.get("out", "."))
-    hyper, _ = _hyper_and_config(settings)
-    write_manifest(out, settings)
-    corpus, params = generate_synthetic(hyper, v=args.vocab, n_slices=args.slices,
-                                        docs_per_slice=args.docs_per_slice,
-                                        doc_len=args.doc_len,
-                                        seed=int(settings["seed"]),
-                                        alpha0_scale=args.alpha0_scale,
-                                        phi0_scale=args.phi0_scale)
+    raw, values = resolve_settings(args)
+    out = Path(values["out"])
+    hyper, _ = _hyper_and_config(values)
+    write_manifest(out, raw)
+    corpus, params = generate_synthetic(hyper, v=values["vocab"], n_slices=values["slices"],
+                                        docs_per_slice=values["docs_per_slice"],
+                                        doc_len=values["doc_len"], seed=values["seed"],
+                                        alpha0_scale=values["alpha0_scale"],
+                                        phi0_scale=values["phi0_scale"])
     dest = out / "synthetic.txt"
     save_corpus(corpus, dest)
     np.savez(out / "true_params.npz", alpha=params.alpha, phi=params.phi)
@@ -302,225 +317,178 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    import socket as socketlib
+    from .cluster import (DEFAULT_TIMEOUT, KIND_DONE, KIND_HELLO_OK, KIND_METRICS,
+                          ProtocolError, _dial, encode_frame, parse_topology,
+                          recv_frame, run_worker, send_frame)
 
-    from .cluster import (DEFAULT_TIMEOUT, KIND_DONE, KIND_HELLO, KIND_HELLO_OK,
-                          KIND_METRICS, ProtocolError, configure_socket,
-                          encode_frame, parse_topology, recv_frame, run_worker,
-                          send_frame)
-
-    settings = resolve_settings(args)
-    out = Path(settings.get("out", "."))
-    hyper, cfg = _hyper_and_config(settings)
-    if not settings.get("topology") or settings.get("worker_id") is None:
+    raw, values = resolve_settings(args)
+    out = Path(values["out"])
+    hyper, cfg = _hyper_and_config(values)
+    if "topology" not in values or "worker_id" not in values:
         raise ConfigError("worker needs --topology and --worker-id")
-    topo = parse_topology(settings["topology"])
-    worker_id = _setting(settings, "worker_id", int)
+    topo = parse_topology(values["topology"])
+    worker_id = values["worker_id"]
     if worker_id not in topo.workers:
         raise ProtocolError(f"worker {worker_id} not present in topology")
-    split_cfg = _split_config(settings)
-    write_manifest(out, settings)
-    corpus, split = _load_split(settings, split_cfg)
-    train_corpus = split.train if split is not None else corpus
+    train_corpus, _ = _load_split(values)
     assignment = topo.assignment()
-    owned = assignment[worker_id]
     covered = sorted(t for ts in assignment.values() for t in ts)
     if covered != list(range(1, train_corpus.n_slices + 1)):
         raise ConfigError(f"topology covers slices {covered}, corpus has "
                           f"{train_corpus.n_slices}")
+    write_manifest(out, raw)
 
-    coord = None
-    metrics_sink = None
-    if topo.coordinator is not None:
-        who = f"worker {worker_id} <-> coordinator"
-        last = None
-        for _ in range(100):  # the coordinator may still be starting up
-            try:
-                coord = configure_socket(
-                    socketlib.create_connection(topo.coordinator,
-                                                timeout=DEFAULT_TIMEOUT),
-                    DEFAULT_TIMEOUT)
-                break
-            except OSError as exc:
-                last = exc
-                time.sleep(0.1)
-        else:
-            print(f"worker {worker_id}: coordinator unreachable: {last}",
-                  file=sys.stderr)
-            return EXIT_PEER
-        send_frame(coord, encode_frame(KIND_HELLO, 0, worker_id,
-                                       str(topo.checksum()).encode()), who)
-        reply = recv_frame(coord, who)
-        if reply.kind != KIND_HELLO_OK:
-            print(f"worker {worker_id}: topology checksum rejected by coordinator",
-                  file=sys.stderr)
-            return EXIT_PEER
+    coord = metrics_sink = None
+    who = f"worker {worker_id} <-> coordinator"
+    try:
+        if topo.coordinator is not None:
+            # the coordinator may still be starting up: _dial retries
+            coord = _dial(worker_id, "coordinator", topo.coordinator, DEFAULT_TIMEOUT,
+                          100, hello=str(topo.checksum()).encode())
+            if recv_frame(coord, who).kind != KIND_HELLO_OK:
+                raise ProtocolError(f"{who}: topology checksum rejected by coordinator")
 
-        def metrics_sink(row):
-            send_frame(coord, encode_frame(KIND_METRICS, row["iteration"], worker_id,
-                                           json.dumps(row).encode()), who)
+            def metrics_sink(row):
+                send_frame(coord, encode_frame(KIND_METRICS, row["iteration"], worker_id,
+                                               json.dumps(row).encode()), who)
 
-    ckpt_dir = Path(settings.get("checkpoint") or (out / "checkpoints"))
-    run_worker(worker_id, assignment, topo.workers, train_corpus, hyper, cfg,
-               ckpt_dir, metrics_sink=metrics_sink)
-    if coord is not None:
-        # hold until the coordinator acknowledges the final checkpoint
-        send_frame(coord, encode_frame(KIND_DONE, cfg.iterations, worker_id), who)
-        ack = recv_frame(coord, who)
-        if ack.kind != KIND_DONE:
-            print(f"worker {worker_id}: unexpected shutdown frame {ack.kind}",
-                  file=sys.stderr)
-            return EXIT_PEER
-        coord.close()
-    print(f"worker {worker_id}: finished {cfg.iterations} iterations for slices {owned}")
+        run_worker(worker_id, assignment, topo.workers, train_corpus, hyper, cfg,
+                   _checkpoint_dir(values), metrics_sink=metrics_sink)
+        if coord is not None:
+            # hold until the coordinator acknowledges the final checkpoint
+            send_frame(coord, encode_frame(KIND_DONE, cfg.iterations, worker_id), who)
+            ack = recv_frame(coord, who)
+            if ack.kind != KIND_DONE:
+                raise ProtocolError(f"{who}: unexpected shutdown frame of kind {ack.kind}")
+    finally:
+        if coord is not None:
+            coord.close()
+    print(f"worker {worker_id}: finished {cfg.iterations} iterations for slices "
+          f"{assignment[worker_id]}")
     return EXIT_OK
 
 
 def cmd_coordinator(args) -> int:
     import socket as socketlib
+    from multiprocessing.connection import wait
 
     from .cluster import (DEFAULT_TIMEOUT, KIND_DONE, KIND_HELLO,
                           KIND_HELLO_MISMATCH, KIND_HELLO_OK, KIND_METRICS,
-                          ProtocolError, configure_socket, encode_frame,
-                          parse_topology, recv_frame, send_frame)
+                          PeerDisconnected, ProtocolError, configure_socket,
+                          encode_frame, parse_topology, recv_frame, send_frame)
     from .engine import metrics_to_csv
 
-    settings = resolve_settings(args)
-    out = Path(settings.get("out", "."))
-    if not settings.get("topology"):
+    raw, values = resolve_settings(args)
+    out = Path(values["out"])
+    if "topology" not in values:
         raise ConfigError("coordinator needs --topology")
-    topo = parse_topology(settings["topology"])
+    topo = parse_topology(values["topology"])
     if topo.coordinator is None:
         raise ConfigError("topology has no coordinator address")
-    write_manifest(out, settings)
+    write_manifest(out, raw)
     expected = str(topo.checksum())
 
     server = socketlib.create_server(topo.coordinator)
     server.settimeout(DEFAULT_TIMEOUT)
-    conns = []
+    conns = {}      # socket -> worker id
     try:
         while len(conns) < len(topo.workers):
-            conn, _ = server.accept()
+            try:
+                conn, _ = server.accept()
+            except TimeoutError as exc:
+                raise PeerDisconnected(
+                    f"coordinator: no word from a worker in {DEFAULT_TIMEOUT:g} s "
+                    f"({len(conns)} of {len(topo.workers)} connected)") from exc
             configure_socket(conn, DEFAULT_TIMEOUT)
             hello = recv_frame(conn, "coordinator <- new worker")
             if hello.kind != KIND_HELLO:
                 conn.close()
                 continue
+            who = f"coordinator -> worker {hello.sender}"
             if hello.text() != expected:
-                send_frame(conn, encode_frame(KIND_HELLO_MISMATCH, 0, 0),
-                           f"coordinator -> worker {hello.sender}")
-                print(f"coordinator: worker {hello.sender} has a different topology",
-                      file=sys.stderr)
+                send_frame(conn, encode_frame(KIND_HELLO_MISMATCH, 0, 0), who)
                 conn.close()
-                return EXIT_PEER
-            send_frame(conn, encode_frame(KIND_HELLO_OK, 0, 0),
-                       f"coordinator -> worker {hello.sender}")
-            conns.append((hello.sender, conn))
+                raise ProtocolError(f"coordinator: worker {hello.sender} has a "
+                                    f"different topology")
+            send_frame(conn, encode_frame(KIND_HELLO_OK, 0, 0), who)
+            conns[conn] = hello.sender
 
+        # read whichever worker has a frame ready: a worker that owns more
+        # slices sends more rows per iteration, and one blocked in its
+        # metrics send stops the boundary exchange of the whole chain
         rows = []
-        done = set()
-        while len(done) < len(conns):
-            for wid, conn in conns:
-                if wid in done:
-                    continue
+        pending = dict(conns)
+        while pending:
+            ready = wait(list(pending), DEFAULT_TIMEOUT)
+            if not ready:
+                raise PeerDisconnected(f"coordinator: no word from workers "
+                                       f"{sorted(pending.values())} in "
+                                       f"{DEFAULT_TIMEOUT:g} s")
+            for conn in ready:
+                wid = pending[conn]
                 frame = recv_frame(conn, f"coordinator <- worker {wid}")
                 if frame.kind == KIND_METRICS:
                     rows.append(json.loads(frame.text()))
                 elif frame.kind == KIND_DONE:
                     send_frame(conn, encode_frame(KIND_DONE, frame.iteration, 0),
                                f"coordinator -> worker {wid}")
-                    done.add(wid)
+                    del pending[conn]
         metrics_to_csv(rows, out / "metrics.csv")
         print(f"coordinator: collected {len(rows)} metric rows from "
               f"{len(conns)} workers")
         return EXIT_OK
-    except TimeoutError as exc:
-        raise ProtocolError(f"coordinator: no word from a worker in "
-                            f"{DEFAULT_TIMEOUT:g} s ({len(conns)} of "
-                            f"{len(topo.workers)} connected)") from exc
     finally:
-        for _, conn in conns:
+        for conn in conns:
             conn.close()
         server.close()
 
 
+COMMANDS = {
+    "train": (cmd_train, "train in-process"),
+    "eval": (cmd_eval, "held-out perplexity"),
+    "trends": (cmd_trends, "export topic trends"),
+    "gen-synthetic": (cmd_gen_synthetic, "corpus drawn from the generative process"),
+    "worker": (cmd_worker, "run one distributed worker"),
+    "coordinator": (cmd_coordinator, "collect worker metrics"),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with --config and one --flag per key of
+    the command's settings table; values stay text until
+    ``resolve_settings`` parses them."""
     p = argparse.ArgumentParser(prog="dtmgibbs",
                                 description="Dynamic topic model trainer")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--corpus")
-        sp.add_argument("--out")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--topics", type=int)
-        sp.add_argument("--iterations", type=int)
-        sp.add_argument("--minibatch", type=int)
-        sp.add_argument("--eta-schedule", dest="eta_schedule",
-                        help="a,b,c step-size triple")
-        sp.add_argument("--phi-schedule", dest="phi_schedule")
-        sp.add_argument("--sigma2", type=float)
-        sp.add_argument("--beta2", type=float)
-        sp.add_argument("--psi2", type=float)
-        sp.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
-        sp.add_argument("--test-fraction", dest="test_fraction", type=float)
-        sp.add_argument("--heldout-fraction", dest="heldout_fraction", type=float)
-        sp.add_argument("--split-seed", dest="split_seed", type=int)
-        sp.add_argument("--inner-steps", dest="inner_steps", type=int)
-        sp.add_argument("--format", choices=["slice-per-line", "bag-of-words-dir"])
-        sp.add_argument("--topology")
-        sp.add_argument("--worker-id", dest="worker_id", type=int)
-        sp.add_argument("--checkpoint", help="checkpoint directory to read")
-        return sp
-
-    common(sub.add_parser("train", help="train in-process")).set_defaults(fn=cmd_train)
-    common(sub.add_parser("eval", help="held-out perplexity")).set_defaults(fn=cmd_eval)
-    tr = common(sub.add_parser("trends", help="export topic trends"))
-    tr.add_argument("--topic-ids", help="comma-separated topic ids (default: all)")
-    tr.add_argument("--top-n", type=int, default=10)
-    tr.set_defaults(fn=cmd_trends)
-    gs = common(sub.add_parser("gen-synthetic",
-                               help="corpus drawn from the generative process"))
-    gs.add_argument("--vocab", type=int, default=100)
-    gs.add_argument("--slices", type=int, default=4)
-    gs.add_argument("--docs-per-slice", type=int, default=200)
-    gs.add_argument("--doc-len", type=int, default=100)
-    gs.add_argument("--alpha0-scale", type=float, default=1.0)
-    gs.add_argument("--phi0-scale", type=float, default=2.0)
-    gs.set_defaults(fn=cmd_gen_synthetic)
-    common(sub.add_parser("worker", help="run one distributed worker")
-           ).set_defaults(fn=cmd_worker)
-    common(sub.add_parser("coordinator", help="collect worker metrics")
-           ).set_defaults(fn=cmd_coordinator)
+    for command, (fn, help_text) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        sp.add_argument("--config", help="flat key = value config file")
+        for key, (default, _) in settings_table(command).items():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=None if default is None else f"default {default}")
+        sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that maps errors to exit codes."""
+    from .cluster import ProtocolError
+    from .engine import NumericError
     try:
         args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
+    errors = ((ConfigError, "configuration error", EXIT_CONFIG),
+              (NumericError, "numeric abort", EXIT_NUMERIC),
+              (ProtocolError, "peer error", EXIT_PEER),
+              ((FileNotFoundError, ValueError), "data error", EXIT_DATA))
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as exc:  # noqa: BLE001
-        from .cluster import ProtocolError
-        from .engine import NumericError
-        if isinstance(exc, NumericError):
-            print(f"numeric abort: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        if isinstance(exc, ProtocolError):
-            print(f"peer error: {exc}", file=sys.stderr)
-            return EXIT_PEER
+    except Exception as exc:
+        for kind, prefix, code in errors:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
         raise
 
 

@@ -249,14 +249,17 @@ class SocketTransport:
                 pass
 
 
-def _dial(worker_id: int, peer_id: int, addr, timeout: float,
-          retries: int) -> socket.socket:
+def _dial(worker_id: int, peer_id, addr, timeout: float, retries: int,
+          hello: bytes = b"") -> socket.socket:
+    """Connect to ``peer_id`` (a worker id, or a name such as
+    "coordinator") at ``addr``, retrying while it is not yet listening,
+    and send a hello frame carrying ``hello``."""
     last = None
     for _ in range(retries):
         try:
             conn = configure_socket(socket.create_connection(addr, timeout=timeout),
                                     timeout)
-            send_frame(conn, encode_frame(KIND_HELLO, 0, worker_id),
+            send_frame(conn, encode_frame(KIND_HELLO, 0, worker_id, hello),
                        f"worker {worker_id} -> {peer_id}")
             return conn
         except OSError as exc:

@@ -338,7 +338,7 @@ def split_holdout(corpus: Corpus, test_doc_fraction: float,
                                           np.ascontiguousarray(shuffled[n_held:]),
                                           np.ascontiguousarray(shuffled[:n_held])))
     if unsplittable:
-        logger.warning("split_holdout: %d single-token test docs kept fully observed",
-                       unsplittable)
+        logger.info("split_holdout: %d single-token test docs kept fully observed",
+                    unsplittable)
     train = Corpus(vocabulary=corpus.vocabulary, slices=tuple(train_slices))
     return HoldoutSplit(train=train, test=tuple(test_docs), unsplittable_docs=unsplittable)

@@ -120,8 +120,8 @@ class SliceState:
     O(mini-batch).
 
     ``word_src`` is the float32 phi each of the slice's word-proposal
-    tables was last built from, (K, V), or None while every table is
-    built fresh each iteration (see ``samplers.rebuild_proposals``).
+    tables was last built from, (K, V), or None before the slice's
+    first training iteration (see ``samplers.rebuild_proposals``).
     The tables themselves are not state: they are rebuilt from it.
     """
 
@@ -343,8 +343,12 @@ def write_checkpoint(directory, state: ModelState, master_seed: int, iteration: 
 def read_slice_checkpoint(path) -> dict:
     """Decode one slice file into a dict of arrays plus header fields.
 
-    A file shorter than its header or its declared arrays, longer than
-    them, or whose CRC-32 does not match its bytes raises ValueError.
+    A file shorter than its header and checksum, of another magic or
+    version, whose CRC-32 does not match its bytes, or whose length
+    disagrees with the arrays its header declares raises ValueError.
+    The CRC is checked before any declared size is read, so a flipped
+    bit in the dims or the document lengths reads as a checksum
+    mismatch.
     """
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size + _CRC.size:
@@ -357,6 +361,9 @@ def read_slice_checkpoint(path) -> dict:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     body_end = len(blob) - _CRC.size
+    (crc,) = _CRC.unpack_from(blob, body_end)
+    if zlib.crc32(memoryview(blob)[:body_end]) != crc:
+        raise ValueError(f"{path}: checksum mismatch, the file is corrupt")
     off = _HEADER.size
 
     def take(dtype: str, count: int) -> np.ndarray:
@@ -377,9 +384,6 @@ def read_slice_checkpoint(path) -> dict:
     z_flat = take("<i4", int(lengths.sum()))
     if off != body_end:
         raise ValueError(f"{path}: {body_end - off} bytes after the declared arrays")
-    (crc,) = _CRC.unpack_from(blob, body_end)
-    if zlib.crc32(memoryview(blob)[:body_end]) != crc:
-        raise ValueError(f"{path}: checksum mismatch, the file is corrupt")
     z = split_flat(z_flat, np.cumsum(lengths, dtype=np.int64))
     return {"master_seed": master_seed, "iteration": iteration, "T": t_total,
             "K": k, "V": v, "D_t": d_t, "slice_index": slice_index,

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dtmgibbs.cli import main, parse_config_file
+from dtmgibbs.cli import COMMANDS, main, parse_config_file, settings_table
 
 RUNNER = [sys.executable, "-m", "dtmgibbs.cli"]
 
@@ -117,6 +117,7 @@ class TestTrainCommand:
         ("eval", "inner_steps = x", "inner_steps"),
         ("eval", "inner_steps = -1", "inner_steps"),
         ("worker", "worker_id = one", "worker_id"),
+        ("train", "format = bogus", "format"),
     ])
     def test_bad_config_file_value_exit_1(self, tmp_path, corpus_file, capsys,
                                           command, line, key):
@@ -506,6 +507,128 @@ class TestWorkerCoordinator:
         assert errors[0].startswith("peer error: coordinator <- worker 1: checksum "
                                     "mismatch"), errors
         assert "Traceback" not in err
+
+    def test_coordinator_reads_whichever_worker_is_ready(self, tmp_path, monkeypatch):
+        # worker 1 owns three slices and sends three metrics rows per
+        # iteration, worker 2 one.  A coordinator that reads one frame per
+        # worker per round lets worker 1's backlog grow by two rows per
+        # iteration; once it fills the small buffers of the coordinator
+        # links (the buffers are set after the connection is made, so the
+        # first window is larger: 80 iterations are enough, 200 leave a
+        # margin), worker 1 blocks in its metrics send, which stalls the
+        # boundary exchange and so worker 2
+        import socket
+        import threading
+
+        from dtmgibbs import cluster
+        rng = np.random.default_rng(3)
+        corpus = tmp_path / "four.txt"
+        corpus.write_text("".join(f"{t}\t{' '.join(f'w{i}' for i in rng.integers(0, 8, 12))}\n"
+                                  for t in (1, 2, 3, 4) for _ in range(6)), encoding="utf-8")
+        w1, w2, coord = cluster.free_ports(3)
+        topo = tmp_path / "topo.txt"
+        write_topology(topo, [w1, w2], coord, slices={1: [1, 2, 3], 2: [4]})
+        monkeypatch.setattr(cluster, "DEFAULT_TIMEOUT", 10.0)
+        configure = cluster.configure_socket
+
+        def small_buffers(conn, timeout):
+            if coord in (conn.getsockname()[1], conn.getpeername()[1]):
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            return configure(conn, timeout)
+
+        monkeypatch.setattr(cluster, "configure_socket", small_buffers)
+        iterations = 200
+        base = ["--corpus", str(corpus), "--topics", "2", "--iterations", str(iterations),
+                "--minibatch", "3", "--test-fraction", "0", "--topology", str(topo),
+                "--checkpoint", str(tmp_path / "ckpt")]
+        runs = {"coordinator": ["coordinator", "--topology", str(topo),
+                                "--out", str(tmp_path / "coord")]}
+        for wid in (1, 2):
+            runs[f"worker {wid}"] = ["worker", *base, "--worker-id", str(wid),
+                                     "--out", str(tmp_path / f"w{wid}")]
+        codes = {}
+        threads = [threading.Thread(target=lambda name=name, argv=argv:
+                                    codes.setdefault(name, main(argv)))
+                   for name, argv in runs.items()]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == {name: 0 for name in runs}
+        metrics = (tmp_path / "coord" / "metrics.csv").read_text().strip().splitlines()
+        assert len(metrics) == 1 + iterations * 4     # header + iterations * slices
+
+
+class TestSettingsTable:
+    """Every setting is parsed before a command writes its manifest."""
+
+    PARSED = [(command, key) for command in COMMANDS
+              for key, (_, parse) in settings_table(command).items() if parse is not str]
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command, key", PARSED)
+    def test_bad_value_exit_1_before_manifest(self, tmp_path, corpus_file, capsys,
+                                              command, key, source):
+        out = tmp_path / "r"
+        if source == "flag":
+            given = [f"--{key.replace('_', '-')}", "x"]
+        else:
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(f"{key} = x\n", encoding="utf-8")
+            given = ["--config", str(cfg_file)]
+        code = main([command, "--corpus", str(corpus_file), "--out", str(out), *given])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {key} = ")
+        assert not (out / "manifest.json").exists()
+
+    def test_train_without_corpus_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["train", "--out", str(out)]) == 1
+        assert "no corpus path" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_gen_synthetic_empty_vocabulary_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert main(["gen-synthetic", "--out", str(out), "--vocab", "0"]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: vocab = '0'")
+        assert not (out / "manifest.json").exists()
+
+    def test_command_keys_from_config_file(self, tmp_path, corpus_file):
+        code, out = run_train(tmp_path, corpus_file)
+        assert code == 0
+        cfg_file = tmp_path / "trends.cfg"
+        cfg_file.write_text("topic_ids = 1\ntop_n = 2\n", encoding="utf-8")
+        assert main(["trends", "--config", str(cfg_file), "--corpus", str(corpus_file),
+                     "--out", str(out), "--topics", "3"]) == 0
+        lines = (out / "trends.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 1 * 2 * 2     # topics x slices x rank
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["config"]["topic_ids"], manifest["config"]["top_n"]) == ("1", "2")
+
+    def test_other_commands_keys_rejected(self, tmp_path, corpus_file, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("vocab = 30\n", encoding="utf-8")
+        code, out = run_train(tmp_path, corpus_file, extra=["--config", str(cfg_file)])
+        assert code == 1
+        assert "unknown key(s) vocab" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
+def test_single_token_test_docs_leave_stderr_empty(tmp_path):
+    # split_holdout reports the documents it cannot split through logging;
+    # a run without a log handler must not print that report
+    corpus = tmp_path / "short.txt"
+    corpus.write_text("".join(f"{t}\tw{i % 3}\n" for t in (1, 2) for i in range(10)),
+                      encoding="utf-8")
+    run = subprocess.run(RUNNER + ["train", "--corpus", str(corpus), "--out",
+                                   str(tmp_path / "r"), "--topics", "2",
+                                   "--iterations", "2", "--minibatch", "2",
+                                   "--test-fraction", "0.9"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
 
 
 class TestConfigFile:

@@ -47,7 +47,8 @@ def test_flipped_checkpoint_byte_rejected(tmp_path_factory, checkpoint_blob, dat
     blob = bytearray(checkpoint_blob)
     pos = data.draw(st.integers(0, len(blob) - 1))
     blob[pos] ^= data.draw(st.integers(1, 255))
-    with pytest.raises(ValueError):
+    # past the magic and the version byte, the CRC is checked first
+    with pytest.raises(ValueError, match="checksum mismatch" if pos >= 5 else None):
         _read_damaged(tmp_path_factory, bytes(blob))
 
 
