@@ -93,7 +93,7 @@ _fraction_or_zero = _checked(float, lambda x: x == 0 or 0 < x < 1,
 
 
 def _int_list(text: str) -> list:
-    return [int(x) for x in text.split(",")]
+    return [int(x) for x in text.split(",")] if text.strip() else []
 
 
 # Every setting, declared once: key -> (default as text or None, parser).
@@ -124,7 +124,7 @@ SETTINGS = {
 # Settings that only one command reads, on top of SETTINGS.
 COMMAND_SETTINGS = {
     "trends": {
-        "topic_ids": (None, _int_list),     # None: every topic
+        "topic_ids": (None, _int_list),     # None or empty: every topic
         "top_n": ("10", _at_least(1)),
     },
     "gen-synthetic": {
@@ -278,7 +278,7 @@ def cmd_trends(args) -> int:
     raw, values = resolve_settings(args)
     out = Path(values["out"])
     hyper, _ = _hyper_and_config(values)
-    topics = values.get("topic_ids", list(range(hyper.K)))
+    topics = values.get("topic_ids") or list(range(hyper.K))
     bad = [t for t in topics if not 0 <= t < hyper.K]
     if bad:
         raise _bad_value("topic_ids", raw["topic_ids"],

@@ -120,8 +120,8 @@ class SliceState:
     O(mini-batch).
 
     ``word_src`` is the float32 phi each of the slice's word-proposal
-    tables was last built from, (K, V), or None before the slice's
-    first training iteration (see ``samplers.rebuild_proposals``).
+    tables was last built from, (K, V), or None while every table is
+    built fresh each iteration (see ``samplers.rebuild_proposals``).
     The tables themselves are not state: they are rebuilt from it.
     """
 

@@ -241,10 +241,9 @@ class MhProposalState:
 class WordTables:
     """A slice's V word-proposal tables, kept from one iteration to the next.
 
-    ``budget`` is B = min(V, ceil(n_mb * L / K)), at least 1: n_mb is
+    ``budget`` is B = ceil(n_mb * L / K), at least 1: n_mb is
     min(minibatch_size, D_t) and L the slice's mean document length, so
-    an iteration rebuilds about one table per K mini-batch tokens, and
-    all V of them when there are more mini-batch tokens than that.
+    an iteration rebuilds about one table per K mini-batch tokens.
     ``prob``/``alias`` are (V, K), or None until the first
     ``rebuild_proposals`` call builds them.
     """
@@ -254,8 +253,7 @@ class WordTables:
     def __init__(self, slice_state: SliceState, minibatch_size: int):
         d_t, k = slice_state.n_docs, slice_state.k
         n_mb = min(minibatch_size, d_t)
-        self.budget = min(slice_state.v,
-                          max(1, -(-n_mb * slice_state.n_tokens // max(d_t * k, 1))))
+        self.budget = max(1, -(-n_mb * slice_state.n_tokens // max(d_t * k, 1)))
         self.prob = self.alias = None
 
 
@@ -265,12 +263,12 @@ def rebuild_proposals(slice_state: SliceState, minibatch, eta_mb=None,
     """Proposal tables for one iteration; draws nothing.
 
     The mini-batch's doc tables are built fresh from ``eta_mb`` (the
-    mini-batch's eta rows, gathered here if None).  Without ``tables``
-    every word table is built fresh from phi and ``word_src`` is left
-    alone.  With ``tables``, the B tables of words (iteration*B + j)
-    mod V, j < B, are rebuilt from phi, and ``slice_state.word_src``
-    takes their columns, rounded to float32; the other tables stay as
-    they were built (with B = V, none).  Tables that ``tables`` lacks
+    mini-batch's eta rows, gathered here if None).  Without ``tables``,
+    or when its budget B covers all V words, every word table is built
+    fresh from phi and the state keeps no ``word_src``.  Otherwise only
+    the B tables of words (iteration*B + j) mod V, j < B, are rebuilt
+    from phi, and ``slice_state.word_src`` takes their columns; the
+    other tables stay as they were built.  Tables that ``tables`` lacks
     (the first call of a run) are built from ``word_src``, in chunks of
     as many rows as an iteration's own build, so that no build holds
     more temporaries; a state without ``word_src`` takes it from phi
@@ -283,7 +281,9 @@ def rebuild_proposals(slice_state: SliceState, minibatch, eta_mb=None,
         eta_mb = slice_state.eta[docs]
     doc_weights = np.exp(eta_mb - eta_mb.max(axis=1, keepdims=True))
     v = slice_state.v
-    if tables is None:
+    if tables is None or tables.budget >= v:
+        if tables is not None:
+            slice_state.word_src = None
         doc_prob, doc_alias = build_alias_matrix(doc_weights)
         word_prob, word_alias = build_word_tables(slice_state.phi)
         return MhProposalState(docs, doc_prob, doc_alias, word_prob, word_alias)

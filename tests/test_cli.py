@@ -221,6 +221,13 @@ class TestTrendsCommand:
         assert lines[0] == "topic,slice,rank,term,probability"
         assert len(lines) == 1 + 2 * 2 * 4  # topics x slices x rank
 
+    def test_empty_topic_ids_exports_every_topic(self, tmp_path, corpus_file):
+        code, out = run_train(tmp_path, corpus_file)
+        assert main(["trends", "--corpus", str(corpus_file), "--out", str(out),
+                     "--topics", "3", "--topic-ids", "", "--top-n", "4"]) == 0
+        lines = (out / "trends.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 3 * 2 * 4  # topics x slices x rank
+
     @pytest.mark.parametrize("flag, value, key", [
         ("--topic-ids", "-1", "topic_ids"),
         ("--topic-ids", "7", "topic_ids"),

@@ -11,7 +11,7 @@ from dtmgibbs.engine import (METRICS_FIELDS, NumericError, TrainConfig,
 from dtmgibbs.kernels import log_sum_exp, rng_for
 from dtmgibbs.model import (Hyperparams, SliceState, gather_docs, init_state,
                             load_checkpoint)
-from dtmgibbs.samplers import NeighborContext, WordTables
+from dtmgibbs.samplers import NeighborContext
 from dtmgibbs.synthetic import generate_synthetic
 
 
@@ -225,53 +225,6 @@ class TestStaleWordTables:
         assert built.pop() == 0         # the sink runs after each iteration
         assert built[0] == 60 + 1000    # iteration 0 builds every word table
         assert built[1:] == [60 + budget] * 3
-
-
-class TestAllWordTablesCarried:
-    """When the budget covers the vocabulary (``small_synthetic`` with
-    mini-batches of 15: ceil(15 * 30 / 4) >= V = 40, so B = V), every
-    word table is rebuilt each iteration, through the same carried path
-    as B < V."""
-
-    CFG = TrainConfig(iterations=5, minibatch_size=15, seed=3)
-
-    def test_budget_is_v_and_state_keeps_float32_sources(self, small_synthetic):
-        hyper, corpus, _ = small_synthetic
-        v = corpus.vocabulary.size
-        state = init_state(corpus, hyper, 0)
-        assert all(WordTables(sl, 15).budget == v for sl in state.slices)
-        state = train(corpus, hyper, self.CFG).state
-        for sl in state.slices:
-            assert sl.word_src.dtype == np.float32
-            assert sl.word_src.shape == (hyper.K, v)
-
-    def test_each_iteration_builds_minibatch_plus_v_rows(self, small_synthetic,
-                                                        monkeypatch):
-        import dtmgibbs.samplers as samplers
-        hyper, corpus, _ = small_synthetic
-        one_slice = replace(corpus, slices=corpus.slices[:1])
-        built = [0]                     # rows built, one entry per iteration
-        build = samplers.build_alias_matrix
-
-        def counting_build(rows):
-            built[-1] += np.shape(rows)[0]
-            return build(rows)
-
-        monkeypatch.setattr(samplers, "build_alias_matrix", counting_build)
-        train(one_slice, hyper, self.CFG, metrics_sink=lambda row: built.append(0))
-        assert built.pop() == 0         # the sink runs after each iteration
-        assert built == [15 + corpus.vocabulary.size] * self.CFG.iterations
-
-    def test_resumed_run_equals_uninterrupted(self, small_synthetic, tmp_path):
-        hyper, corpus, _ = small_synthetic
-        full = train(corpus, hyper, self.CFG).state
-        train(corpus, hyper, replace(self.CFG, iterations=2,
-                                     checkpoint_dir=str(tmp_path / "ck")))
-        loaded, _, it = load_checkpoint(tmp_path / "ck", corpus, hyper)
-        assert it == 2
-        resumed = train(corpus, hyper, replace(self.CFG, iterations=3), state=loaded,
-                        start_iteration=it).state
-        assert states_equal(full, resumed)
 
 
 class TestLearningTrend:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,28 @@ class TestCheckpoints:
         # the CRC is checked before the arrays; "truncated" would also
         # match this test's own tmp_path
         with pytest.raises(ValueError, match="checksum mismatch"):
+            read_slice_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("more docs", "arrays and checksum need at least"),
+        ("extra bytes", "8 bytes after the declared arrays")])
+    def test_sizes_checked_behind_a_valid_crc(self, tmp_path, damage, message):
+        """A file whose CRC matches but whose header disagrees with its
+        length still reaches the reader's bound and trailing-bytes checks."""
+        model = dtmgibbs.model
+        c = make_corpus(tmp_path)
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=5)
+        path = checkpoint_path(tmp_path / "ck", 1)
+        body = bytearray(path.read_bytes()[:-model._CRC.size])
+        if damage == "more docs":
+            fields = list(model._HEADER.unpack_from(body, 0))
+            fields[7] += 100            # D_t: eta alone outgrows the file
+            model._HEADER.pack_into(body, 0, *fields)
+        else:
+            body += bytes(8)
+        path.write_bytes(bytes(body) + model._CRC.pack(zlib.crc32(body)))
+        with pytest.raises(ValueError, match=message):
             read_slice_checkpoint(path)
 
 
