@@ -14,7 +14,7 @@ import numpy as np
 from dtmgibbs import Hyperparams, build_alias_table
 from dtmgibbs.kernels import alias_draw, rng_for
 from dtmgibbs.model import init_state
-from dtmgibbs.samplers import (mh_sweep_document, rebuild_proposals,
+from dtmgibbs.samplers import (WordTables, mh_sweep_document, rebuild_proposals,
                                sample_tokens_exact)
 from dtmgibbs.synthetic import generate_synthetic
 
@@ -42,7 +42,8 @@ for k in (25, 100, 400):
     state = init_state(corpus, hyper, seed=1).slices[0]
     n_tokens = sum(len(w) for w in state.tokens)
 
-    props = rebuild_proposals(state, range(state.n_docs))
+    props = rebuild_proposals(state, range(state.n_docs),
+                              WordTables(state, state.n_docs))
     rng = rng_for(3, "mh", k)
     t0 = time.perf_counter()
     for d in range(state.n_docs):

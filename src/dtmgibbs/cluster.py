@@ -289,9 +289,10 @@ def recv_frame(conn: socket.socket, who: str) -> Frame:
 # ---------------------------------------------------------------------------
 
 def recv_boundary(transport, worker_id: int, peer: int, iteration: int,
-                  slice_index: int) -> tuple:
+                  slice_index: int, shape: tuple) -> tuple:
     """(alpha, phi) from ``peer``'s boundary frame of slice ``slice_index``
-    for ``iteration``; any other frame is a ProtocolError naming the peer."""
+    for ``iteration``, whose phi must have this worker's ``shape`` (K, V);
+    any other frame is a ProtocolError naming the peer."""
     who = f"worker {worker_id} <- {peer}"
     frame = decode_frame(transport.recv(peer), who)
     if frame.kind != KIND_BOUNDARY:
@@ -306,6 +307,9 @@ def recv_boundary(transport, worker_id: int, peer: int, iteration: int,
     if len(dims) != 2 or len(frame.payload) != 8 * dims[0] * (1 + dims[1]):
         raise ProtocolError(f"{who}: boundary frame of {len(frame.payload)} bytes "
                             f"has dims {dims}")
+    if tuple(dims) != tuple(shape):
+        raise ProtocolError(f"{who}: boundary frame has (K, V) = {tuple(dims)}, this "
+                            f"worker's slices have {tuple(shape)}")
     k, v = dims
     values = np.frombuffer(frame.payload, dtype="<f8").astype(np.float64)
     return values[:k], values[k:].reshape(k, v)
@@ -343,7 +347,7 @@ def exchange_boundaries(transport, worker_id: int, iteration: int, position: int
                                        ("right", right_peer, send_right, 1)):
             if peer is not None:
                 received[side] = recv_boundary(transport, worker_id, peer, iteration,
-                                               load[0] + step)
+                                               load[0] + step, load[2].shape)
 
     if position % 2 == 0:
         do_send()
@@ -524,29 +528,37 @@ def run_distributed_sockets(corpus: Corpus, hyper: Hyperparams, cfg: TrainConfig
 
 
 def _parse_addr(text: str) -> tuple:
-    host, _, port = text.rpartition(":")
+    host, sep, port = text.rpartition(":")
+    if not sep:
+        raise ValueError(f"address {text!r} is not host:port")
     return host, int(port)
 
 
 def parse_topology(path) -> Topology:
+    """The topology file at ``path``; a malformed line raises ValueError
+    naming ``path:line``."""
     coordinator = None
     workers = {}
     slices = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "coordinator":
-                coordinator = _parse_addr(value)
-            elif key.startswith("worker"):
-                workers[int(key.split()[1])] = _parse_addr(value)
-            elif key.startswith("slices"):
-                slices[int(key.split()[1])] = [int(x) for x in value.split(",") if x]
-            else:
-                raise ValueError(f"{path}: unknown topology key {key!r}")
+            words, value = key.split(), value.strip()
+            try:
+                if words == ["coordinator"]:
+                    coordinator = _parse_addr(value)
+                elif len(words) == 2 and words[0] == "worker":
+                    workers[int(words[1])] = _parse_addr(value)
+                elif len(words) == 2 and words[0] == "slices":
+                    slices[int(words[1])] = [int(x) for x in value.split(",") if x]
+                else:
+                    raise ValueError(f"unknown topology key {key.strip()!r}; expected "
+                                     "'coordinator', 'worker <id>' or 'slices <id>'")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not workers:
         raise ValueError(f"{path}: no workers defined")
     env = os.environ.get("DTMGIBBS_COORDINATOR")

@@ -75,7 +75,7 @@ def select_minibatch(n_docs: int, d_m: int, rng: np.random.Generator) -> np.ndar
 def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
                   neighbors_phi: NeighborContext, hyper: Hyperparams,
                   cfg: TrainConfig, iteration: int,
-                  tables: WordTables | None = None) -> tuple[CountSet, dict]:
+                  tables: WordTables) -> tuple[CountSet, dict]:
     """Advance one slice by one iteration, in place.
 
     Block order: counts, then eta, phi and z, which read only the
@@ -83,15 +83,13 @@ def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
     arrays, then alpha from the post-update eta mean.  The state is
     advanced once, after every block has run; the z block also moves
     the word-table sources it rebuilds (``state.word_src``).
-    ``tables`` carries the slice's word tables between iterations;
-    without it they are rebuilt from ``state.word_src``, with the same
-    result.  Returns the mini-batch counts and a metrics row.
+    ``tables`` carries the slice's word tables between iterations; a
+    fresh ``WordTables`` is filled from ``state.word_src``, with the
+    same result.  Returns the mini-batch counts and a metrics row.
     """
     t = state.slice_index
     seed = cfg.seed
     d_t = state.n_docs
-    if tables is None:
-        tables = WordTables(state, cfg.minibatch_size)
 
     t0 = time.perf_counter()
     minibatch = select_minibatch(d_t, cfg.minibatch_size, rng_for(seed, "minibatch", t, iteration))
@@ -128,7 +126,7 @@ def run_iteration(state: SliceState, neighbors_alpha: NeighborContext,
     ms_phi = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    proposals = rebuild_proposals(state, minibatch, eta_mb, tables, iteration)
+    proposals = rebuild_proposals(state, minibatch, tables, eta_mb, iteration)
     z_mb = mh_sweep(eta_mb, state.phi, w, z, rows, proposals,
                     rng_for(seed, "z", t, iteration))
     z_rows = split_flat(z_mb, np.cumsum(lengths))

@@ -4,7 +4,8 @@ top-word extraction and trend export.
 A test document's parameter is inferred from its observed half with the
 model frozen, then the held-out half is scored under the induced
 mixture p(w) = sum_k pi(eta)_k * pi(phi_k)_w.  The model is read-only
-here, so test documents can be scored in parallel.
+here; scoring is one sequential loop over each slice's test documents,
+each with its own stream.
 """
 
 from __future__ import annotations

@@ -120,9 +120,10 @@ class SliceState:
     O(mini-batch).
 
     ``word_src`` is the float32 phi each of the slice's word-proposal
-    tables was last built from, (K, V), or None while every table is
-    built fresh each iteration (see ``samplers.rebuild_proposals``).
-    The tables themselves are not state: they are rebuilt from it.
+    tables was last built from, (K, V), or None until the first
+    training iteration takes it from phi (see
+    ``samplers.rebuild_proposals``).  The tables themselves are not
+    state: they are rebuilt from it.
     """
 
     __slots__ = ("slice_index", "tokens", "n_tokens", "alpha", "phi", "phi_log_norm",
@@ -393,9 +394,10 @@ def read_slice_checkpoint(path) -> dict:
 def load_checkpoint(directory, corpus: Corpus, hyper: Hyperparams) -> tuple[ModelState, int, int]:
     """Rebuild a ModelState from per-slice files; returns (state, seed, iteration).
 
-    Dimensions must match the corpus and hyperparameters exactly, and
-    every slice file must carry the same master seed and iteration; a
-    torn set raises ValueError.
+    Dimensions must match the corpus and hyperparameters exactly, each
+    file must hold the slice its name gives, and every slice file must
+    carry the same master seed and iteration; a torn or mislabelled set
+    raises ValueError.
     """
     directory = Path(directory)
     slices = []
@@ -403,7 +405,11 @@ def load_checkpoint(directory, corpus: Corpus, hyper: Hyperparams) -> tuple[Mode
     master_seed = None
     iteration = None
     for sl in corpus.slices:
-        data = read_slice_checkpoint(checkpoint_path(directory, sl.slice_index))
+        path = checkpoint_path(directory, sl.slice_index)
+        data = read_slice_checkpoint(path)
+        if data["slice_index"] != sl.slice_index:
+            raise ValueError(f"{path}: loaded for slice {sl.slice_index}, but the file "
+                             f"holds slice {data['slice_index']}")
         if master_seed is not None and (data["master_seed"], data["iteration"]) != (
                 master_seed, iteration):
             raise ValueError(f"torn checkpoint set: slice {sl.slice_index} is from seed "

@@ -218,11 +218,12 @@ class MhProposalState:
 
     Row i of ``doc_prob``/``doc_alias`` is the alias table over exp(eta_d)
     of document ``docs[i]``, built fresh each iteration; row w of
-    ``word_prob``/``word_alias`` is the table over exp(src[:, w]).  With
-    ``word_src`` None, src is the phi the sweep reads; otherwise src is
-    ``word_src``, the possibly older phi each word table was built from,
-    and the sweep corrects for the difference.  The sweep reads the
-    tables by gather; no table keeps a pool of draws.
+    ``word_prob``/``word_alias`` is the table over exp(src[:, w]).  In
+    training src is ``word_src``, the possibly older phi each word table
+    was built from, and the sweep corrects for the difference; held-out
+    inference leaves ``word_src`` None, and src is the frozen phi the
+    sweep reads.  The sweep reads the tables by gather; no table keeps a
+    pool of draws.
     """
 
     __slots__ = ("docs", "doc_prob", "doc_alias", "word_prob", "word_alias",
@@ -241,9 +242,10 @@ class MhProposalState:
 class WordTables:
     """A slice's V word-proposal tables, kept from one iteration to the next.
 
-    ``budget`` is B = ceil(n_mb * L / K), at least 1: n_mb is
+    ``budget`` is B = min(V, ceil(n_mb * L / K)), at least 1: n_mb is
     min(minibatch_size, D_t) and L the slice's mean document length, so
-    an iteration rebuilds about one table per K mini-batch tokens.
+    an iteration rebuilds about one table per K mini-batch tokens, and
+    all V of them when there are more mini-batch tokens than that.
     ``prob``/``alias`` are (V, K), or None until the first
     ``rebuild_proposals`` call builds them.
     """
@@ -253,42 +255,33 @@ class WordTables:
     def __init__(self, slice_state: SliceState, minibatch_size: int):
         d_t, k = slice_state.n_docs, slice_state.k
         n_mb = min(minibatch_size, d_t)
-        self.budget = max(1, -(-n_mb * slice_state.n_tokens // max(d_t * k, 1)))
+        self.budget = min(slice_state.v,
+                          max(1, -(-n_mb * slice_state.n_tokens // max(d_t * k, 1))))
         self.prob = self.alias = None
 
 
-def rebuild_proposals(slice_state: SliceState, minibatch, eta_mb=None,
-                      tables: WordTables | None = None,
-                      iteration: int = 0) -> MhProposalState:
+def rebuild_proposals(slice_state: SliceState, minibatch, tables: WordTables,
+                      eta_mb=None, iteration: int = 0) -> MhProposalState:
     """Proposal tables for one iteration; draws nothing.
 
     The mini-batch's doc tables are built fresh from ``eta_mb`` (the
-    mini-batch's eta rows, gathered here if None).  Without ``tables``,
-    or when its budget B covers all V words, every word table is built
-    fresh from phi and the state keeps no ``word_src``.  Otherwise only
-    the B tables of words (iteration*B + j) mod V, j < B, are rebuilt
-    from phi, and ``slice_state.word_src`` takes their columns; the
-    other tables stay as they were built.  Tables that ``tables`` lacks
-    (the first call of a run) are built from ``word_src``, in chunks of
-    as many rows as an iteration's own build, so that no build holds
-    more temporaries; a state without ``word_src`` takes it from phi
-    first.  Each table depends on its own column alone, so the tables
-    are the same whichever call built them; the B rebuilt word tables
-    share one stacked construction with the doc tables.
+    mini-batch's eta rows, gathered here if None).  The B tables of
+    words (iteration*B + j) mod V, j < B, are rebuilt from phi, and
+    ``slice_state.word_src`` takes their columns, rounded to float32;
+    the other tables stay as they were built (with B = V, none do).
+    Tables that ``tables`` lacks (the first call of a run) are built
+    from ``word_src``, in chunks of as many rows as an iteration's own
+    build, so that no build holds more temporaries; a state without
+    ``word_src`` takes it from phi first.  Each table depends on its own
+    column alone, so the tables are the same whichever call built them;
+    the B rebuilt word tables share one stacked construction with the
+    doc tables.
     """
     docs = np.asarray(minibatch, dtype=np.int64).reshape(-1)
     if eta_mb is None:
         eta_mb = slice_state.eta[docs]
     doc_weights = np.exp(eta_mb - eta_mb.max(axis=1, keepdims=True))
-    v = slice_state.v
-    if tables is None or tables.budget >= v:
-        if tables is not None:
-            slice_state.word_src = None
-        doc_prob, doc_alias = build_alias_matrix(doc_weights)
-        word_prob, word_alias = build_word_tables(slice_state.phi)
-        return MhProposalState(docs, doc_prob, doc_alias, word_prob, word_alias)
-
-    b = tables.budget
+    v, b = slice_state.v, tables.budget
     src = slice_state.word_src
     stale = src is not None
     if not stale:
@@ -340,9 +333,10 @@ def mh_sweep(eta, phi, w, z, rows, proposals: MhProposalState,
     + (phi[s,w] - src[s,w]) - (phi[z,w] - src[z,w]))), where src is
     ``proposals.word_src``, the values each word table was built from.
     With ``word_src`` None the tables were built from ``phi`` itself and
-    the correction is left out.  Either way the ratios are exact for the
-    tables drawn from.  ``rng`` is read in a fixed order: doc proposals,
-    doc coins, word proposals, word coins.
+    the correction is left out; held-out inference, whose phi is frozen,
+    is the one caller that passes such tables.  Either way the ratios
+    are exact for the tables drawn from.  ``rng`` is read in a fixed
+    order: doc proposals, doc coins, word proposals, word coins.
     """
     n = w.shape[0]
     s = alias_draw_stacked(proposals.doc_prob, proposals.doc_alias, rows, rng)

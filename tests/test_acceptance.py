@@ -28,7 +28,7 @@ from dtmgibbs.kernels import (SgldSchedule, alias_draw, build_alias_table,
                               log_sum_exp, rng_for, softmax, step_size)
 from dtmgibbs.model import (Hyperparams, SliceState, accumulate_counts,
                             init_state)
-from dtmgibbs.samplers import (MhProposalState, NeighborContext,
+from dtmgibbs.samplers import (MhProposalState, NeighborContext, WordTables,
                                alpha_posterior, build_word_tables,
                                grad_log_post_eta, grad_log_post_phi,
                                mh_sweep_document, rebuild_proposals,
@@ -150,7 +150,7 @@ class TestCriterion3MhStationarity:
                            phi, eta, [np.zeros(n, dtype=np.int32)])
         target = softmax(eta[0] + phi[:, w])
         mrng = rng_for(301, "chain")
-        props = rebuild_proposals(state, [0])
+        props = rebuild_proposals(state, [0], WordTables(state, 1))
         counts = np.zeros(k)
         for sweep in range(burn_in + tallied):
             state.z[0] = mh_sweep_document(state, 0, props, mrng)
@@ -177,7 +177,7 @@ class TestCriterion3MhStationarity:
                            phi, eta, [np.zeros(n, dtype=np.int32)])
         target = softmax(eta[0] + phi[:, w])
         mrng = rng_for(303, "chain")
-        fresh = rebuild_proposals(state, [0])
+        fresh = rebuild_proposals(state, [0], WordTables(state, 1))
         word_prob, word_alias = build_word_tables(src.astype(np.float64))
         props = MhProposalState(fresh.docs, fresh.doc_prob, fresh.doc_alias,
                                 word_prob, word_alias, src)
@@ -312,7 +312,7 @@ class TestCriterion7AmortizedO1:
         n_tokens = sum(len(w) for w in state.tokens)
         best_mh = best_naive = np.inf
         for r in range(repeats):
-            props = rebuild_proposals(state, docs)
+            props = rebuild_proposals(state, docs, WordTables(state, state.n_docs))
             rng = rng_for(703, "mh", k, r)
             t0 = time.perf_counter()
             for d in docs:

@@ -568,6 +568,29 @@ class TestWorkerCoordinator:
         assert len(metrics) == 1 + iterations * 4     # header + iterations * slices
 
 
+@pytest.mark.parametrize("command", ["worker", "coordinator"])
+@pytest.mark.parametrize("line", [
+    "worker = 127.0.0.1:7002",          # no id
+    "worker two = 127.0.0.1:7002",
+    "worker 2 = 127.0.0.1:port",
+    "worker 2 = 127.0.0.1",             # no port
+    "slices 1 = 1,b",
+    "slices = 1",
+    "workers 2 = 127.0.0.1:7002"])
+def test_malformed_topology_line_exit_2(tmp_path, corpus_file, capsys, command, line):
+    topo = tmp_path / "topo.txt"
+    topo.write_text(f"coordinator = 127.0.0.1:7000\n{line}\nworker 1 = 127.0.0.1:7001\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([command, "--corpus", str(corpus_file), "--topology", str(topo),
+                 "--worker-id", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()], err
+    assert err.startswith(f"data error: {topo}:2: "), err
+    assert not (out / "manifest.json").exists()
+
+
 class TestSettingsTable:
     """Every setting is parsed before a command writes its manifest."""
 

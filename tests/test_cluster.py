@@ -19,6 +19,7 @@ from dtmgibbs.cluster import (KIND_BOUNDARY, KIND_DONE, PeerDisconnected,
                               worker_loop)
 from dtmgibbs.engine import TrainConfig, train
 from dtmgibbs.model import Hyperparams, init_state, load_checkpoint
+from dtmgibbs.samplers import WordTables
 from dtmgibbs.synthetic import generate_synthetic
 
 # short enough that a protocol hang fails the test quickly
@@ -214,7 +215,7 @@ class TestExchange:
         try:
             sender.send(2, encode_boundary(9, 1, np.zeros(2), np.zeros((2, 3))))
             with pytest.raises(ProtocolError, match="worker 2 <- 1: iteration mismatch"):
-                recv_boundary(receiver, 2, 1, 3, 1)
+                recv_boundary(receiver, 2, 1, 3, 1, (2, 3))
         finally:
             sender.close()
             receiver.close()
@@ -225,7 +226,7 @@ class TestExchange:
         try:
             sender.send(2, encode_frame(KIND_DONE, 3, 1))
             with pytest.raises(ProtocolError, match="expected a boundary frame"):
-                recv_boundary(receiver, 2, 1, 3, 1)
+                recv_boundary(receiver, 2, 1, 3, 1, (2, 3))
         finally:
             sender.close()
             receiver.close()
@@ -237,7 +238,22 @@ class TestExchange:
             sender.send(2, encode_boundary(3, 5, np.zeros(2), np.zeros((2, 3))))
             with pytest.raises(ProtocolError, match="worker 2 <- 1: boundary frame of "
                                                     "slice 5, expected slice 1"):
-                recv_boundary(receiver, 2, 1, 3, 1)
+                recv_boundary(receiver, 2, 1, 3, 1, (2, 3))
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_frame_of_other_dims_is_protocol_error(self):
+        # a well-formed frame whose (K, V) differs from the receiver's
+        # own shape is refused before its values reach the samplers
+        transports = _socketpair_transports({1: [1], 2: [2]})
+        sender, receiver = transports[1], transports[2]
+        try:
+            sender.send(2, encode_boundary(3, 1, np.zeros(3), np.zeros((3, 30))))
+            with pytest.raises(ProtocolError, match=r"worker 2 <- 1: boundary frame has "
+                                                    r"\(K, V\) = \(3, 30\), this worker's "
+                                                    r"slices have \(3, 20\)"):
+                recv_boundary(receiver, 2, 1, 3, 1, (3, 20))
         finally:
             sender.close()
             receiver.close()
@@ -370,9 +386,13 @@ class TestDistributedRuns:
         assert states_equal(seq.state, loaded)
 
     def test_socket_workers_equal_sequential(self, small_synthetic, tmp_path):
+        # mini-batches of 6: B = min(V, ceil(6 * 30 / 4)) = V = 40, so every
+        # word table is rebuilt each iteration, through the carried path
         hyper, corpus, _ = small_synthetic
         cfg = TrainConfig(iterations=3, minibatch_size=6, seed=15)
         seq = train(corpus, hyper, cfg).state
+        assert all(WordTables(sl, 6).budget == corpus.vocabulary.size for sl in seq.slices)
+        assert all(sl.word_src.dtype == np.float32 for sl in seq.slices)
         sock = run_distributed_sockets(corpus, hyper, cfg, tmp_path / "ck")
         assert states_equal(seq, sock)
 

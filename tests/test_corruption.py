@@ -72,7 +72,7 @@ FRAME = encode_boundary(3, 1, ALPHA, PHI)
 
 
 def test_intact_frame_accepted():
-    alpha, phi = recv_boundary(_Replay(FRAME), 2, 1, 3, 1)
+    alpha, phi = recv_boundary(_Replay(FRAME), 2, 1, 3, 1, PHI.shape)
     np.testing.assert_array_equal(alpha, ALPHA)
     np.testing.assert_array_equal(phi, PHI)
 
@@ -80,7 +80,7 @@ def test_intact_frame_accepted():
 @given(st.integers(0, len(FRAME) - 1))
 def test_truncated_frame_rejected(cut):
     with pytest.raises(ProtocolError):
-        recv_boundary(_Replay(FRAME[:cut]), 2, 1, 3, 1)
+        recv_boundary(_Replay(FRAME[:cut]), 2, 1, 3, 1, PHI.shape)
 
 
 @given(st.integers(0, len(FRAME) - 1), st.integers(1, 255))
@@ -89,5 +89,5 @@ def test_flipped_frame_byte_rejected(pos, mask):
     blob[pos] ^= mask
     link = _Replay(bytes(blob))
     with pytest.raises(ProtocolError, match="worker 2 <- 1: "):
-        recv_boundary(link, 2, 1, 3, 1)
+        recv_boundary(link, 2, 1, 3, 1, PHI.shape)
     assert link.sent == []   # the receiver sends nothing back

@@ -11,7 +11,7 @@ from dtmgibbs.engine import (METRICS_FIELDS, NumericError, TrainConfig,
 from dtmgibbs.kernels import log_sum_exp, rng_for
 from dtmgibbs.model import (Hyperparams, SliceState, gather_docs, init_state,
                             load_checkpoint)
-from dtmgibbs.samplers import NeighborContext
+from dtmgibbs.samplers import NeighborContext, WordTables
 from dtmgibbs.synthetic import generate_synthetic
 
 
@@ -227,6 +227,53 @@ class TestStaleWordTables:
         assert built[1:] == [60 + budget] * 3
 
 
+class TestAllWordTablesCarried:
+    """When the budget covers the vocabulary (``small_synthetic`` with
+    mini-batches of 15: ceil(15 * 30 / 4) >= V = 40, so B = V), every
+    word table is rebuilt each iteration, through the same carried path
+    as B < V."""
+
+    CFG = TrainConfig(iterations=5, minibatch_size=15, seed=3)
+
+    def test_budget_is_v_and_state_keeps_float32_sources(self, small_synthetic):
+        hyper, corpus, _ = small_synthetic
+        v = corpus.vocabulary.size
+        state = init_state(corpus, hyper, 0)
+        assert all(WordTables(sl, 15).budget == v for sl in state.slices)
+        state = train(corpus, hyper, self.CFG).state
+        for sl in state.slices:
+            assert sl.word_src.dtype == np.float32
+            assert sl.word_src.shape == (hyper.K, v)
+
+    def test_each_iteration_builds_minibatch_plus_v_rows(self, small_synthetic,
+                                                        monkeypatch):
+        import dtmgibbs.samplers as samplers
+        hyper, corpus, _ = small_synthetic
+        one_slice = replace(corpus, slices=corpus.slices[:1])
+        built = [0]                     # rows built, one entry per iteration
+        build = samplers.build_alias_matrix
+
+        def counting_build(rows):
+            built[-1] += np.shape(rows)[0]
+            return build(rows)
+
+        monkeypatch.setattr(samplers, "build_alias_matrix", counting_build)
+        train(one_slice, hyper, self.CFG, metrics_sink=lambda row: built.append(0))
+        assert built.pop() == 0         # the sink runs after each iteration
+        assert built == [15 + corpus.vocabulary.size] * self.CFG.iterations
+
+    def test_resumed_run_equals_uninterrupted(self, small_synthetic, tmp_path):
+        hyper, corpus, _ = small_synthetic
+        full = train(corpus, hyper, self.CFG).state
+        train(corpus, hyper, replace(self.CFG, iterations=2,
+                                     checkpoint_dir=str(tmp_path / "ck")))
+        loaded, _, it = load_checkpoint(tmp_path / "ck", corpus, hyper)
+        assert it == 2
+        resumed = train(corpus, hyper, replace(self.CFG, iterations=3), state=loaded,
+                        start_iteration=it).state
+        assert states_equal(full, resumed)
+
+
 class TestLearningTrend:
     def test_log_joint_improves(self, small_synthetic):
         hyper, corpus, _ = small_synthetic
@@ -283,7 +330,7 @@ class TestIterationCost:
         monkeypatch.setattr(SliceState, "__init__", init)
         nb_alpha, nb_phi = first_slice_neighbors(4, 30)
         counts, _ = run_iteration(prev, nb_alpha, nb_phi, Hyperparams(K=4),
-                                  TrainConfig(minibatch_size=20), 0)
+                                  TrainConfig(minibatch_size=20), 0, WordTables(prev, 20))
         assert refreshed == [sorted(counts.docs.tolist())]
         assert len(refreshed[0]) == 20
         assert built == []
@@ -301,13 +348,14 @@ class TestIterationCost:
         hyper, cfg = Hyperparams(K=k), TrainConfig(minibatch_size=60)
         nb_alpha, nb_phi = first_slice_neighbors(k, v)
         states = {d_t: random_slice(d_t, k=k, v=v) for d_t in (200, 20_000)}
+        tables = {d_t: WordTables(st, 60) for d_t, st in states.items()}
         ratios = []
         for _ in range(3):
             best = {d_t: np.inf for d_t in states}
             for i in range(10):
                 for d_t, st in states.items():
                     t0 = time.perf_counter()
-                    run_iteration(st, nb_alpha, nb_phi, hyper, cfg, i)
+                    run_iteration(st, nb_alpha, nb_phi, hyper, cfg, i, tables[d_t])
                     best[d_t] = min(best[d_t], time.perf_counter() - t0)
             ratios.append(best[20_000] / best[200])
             if ratios[-1] <= 1.2:
@@ -328,9 +376,10 @@ class TestBlockStreams:
         monkeypatch.setattr(engine, "rng_for", counting_rng_for)
         st = random_slice(60, k=k, v=25, doc_len=8, seed=k)
         nb_alpha, nb_phi = first_slice_neighbors(k, 25)
+        tables = WordTables(st, minibatch)
         for i in range(2):
             run_iteration(st, nb_alpha, nb_phi, Hyperparams(K=k),
-                          TrainConfig(minibatch_size=minibatch), i)
+                          TrainConfig(minibatch_size=minibatch), i, tables)
         assert built == [(block, 1, i) for i in range(2)
                          for block in ("minibatch", "eta", "phi", "z", "alpha")]
 

@@ -186,6 +186,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="torn"):
             load_checkpoint(tmp_path / "a", c, Hyperparams(K=2))
 
+    def test_swapped_slice_files_rejected(self, tmp_path):
+        # two slices of equal shape: each file passes every size check
+        c = make_corpus(tmp_path, text="1\ta b c\n2\tc a b\n")
+        st = init_state(c, Hyperparams(K=2), seed=1)
+        write_checkpoint(tmp_path / "ck", st, master_seed=1, iteration=5)
+        first, second = (checkpoint_path(tmp_path / "ck", t) for t in (1, 2))
+        blob = first.read_bytes()
+        first.write_bytes(second.read_bytes())
+        second.write_bytes(blob)
+        with pytest.raises(ValueError, match=r"slice_0001\.dtmc: loaded for slice 1, "
+                                             r"but the file holds slice 2"):
+            load_checkpoint(tmp_path / "ck", c, Hyperparams(K=2))
+
     def test_truncated_arrays_rejected(self, tmp_path):
         c = make_corpus(tmp_path)
         st = init_state(c, Hyperparams(K=2), seed=1)

@@ -318,28 +318,31 @@ class TestSgldUpdates:
 class TestProposals:
     def test_doc_table_weights_match_softmax(self):
         sl = toy_slice(6, 10, 2, 8, seed=1, eta_scale=2.0)
-        props = rebuild_proposals(sl, [1, 0])
+        props = rebuild_proposals(sl, [1, 0], WordTables(sl, 2))
         for i, d in enumerate((1, 0)):
             table = AliasTable(props.doc_prob[i], props.doc_alias[i])
             np.testing.assert_allclose(enumerate_alias_measure(table),
                                        softmax(sl.eta[d]), atol=1e-12)
 
     def test_word_tables_match_softmax_columns(self):
+        # each word table is built from its column of word_src, the
+        # float32 phi the sweep's correction reads
         sl = toy_slice(4, 7, 1, 5, seed=2, phi_scale=1.5)
-        props = rebuild_proposals(sl, [0])
+        props = rebuild_proposals(sl, [0], WordTables(sl, 1))
+        src = sl.word_src.astype(np.float64)
         for w in range(7):
             prob, alias = props.word_prob[w], props.word_alias[w]
             measure = np.zeros(4)
             for j in range(4):
                 measure[j] += prob[j] / 4
                 measure[alias[j]] += (1 - prob[j]) / 4
-            np.testing.assert_allclose(measure, softmax(sl.phi[:, w]), atol=1e-12)
+            np.testing.assert_allclose(measure, softmax(src[:, w]), atol=1e-12)
 
     def test_uniform_eta_uniform_draws(self):
         sl = toy_slice(5, 4, 1, 3, seed=3)
         sl.eta[:] = 0.0
         sl.refresh_eta_norm()
-        props = rebuild_proposals(sl, [0])
+        props = rebuild_proposals(sl, [0], WordTables(sl, 1))
         draws = alias_draw_stacked(props.doc_prob, props.doc_alias,
                                    np.zeros(50_000, dtype=np.int64), rng_for(1, "draws"))
         chi = stats.chisquare(np.bincount(draws, minlength=5))
@@ -349,7 +352,7 @@ class TestProposals:
         sl = toy_slice(2, 1, 1, 3, seed=4)
         sl.phi[:, 0] = [np.log(3.0), 0.0]
         sl.refresh_phi_norm()
-        props = rebuild_proposals(sl, [0])
+        props = rebuild_proposals(sl, [0], WordTables(sl, 1))
         draws = alias_draw_stacked(props.word_prob, props.word_alias,
                                    np.zeros(100_000, dtype=np.int64), rng_for(1, "wd"))
         assert abs((draws == 0).mean() - 0.75) < 0.01
@@ -370,21 +373,30 @@ class TestProposals:
         monkeypatch.setattr(samplers, "refill_pool", no_pools)
         sl = toy_slice(5, 30, 8, 10, seed=10)
         minibatch = [6, 1, 3]
-        props = rebuild_proposals(sl, minibatch)
-        assert built == [(3, 5), (30, 5)]
+        tables = WordTables(sl, 3)                   # B = ceil(3 * 10 / 5) = 6
+        rebuild_proposals(sl, minibatch, tables)     # the first call fills the tables
+        built.clear()
+        sl.phi = sl.phi + 1.0
+        props = rebuild_proposals(sl, minibatch, tables, iteration=1)
+        # the doc tables and the B rebuilt word tables: one stacked build
+        assert built == [(3 + 6, 5)]
         np.testing.assert_array_equal(props.docs, minibatch)
         prob, alias = build(np.exp(sl.eta[minibatch]
                                    - sl.eta[minibatch].max(axis=1, keepdims=True)))
         np.testing.assert_array_equal(props.doc_prob, prob)
         np.testing.assert_array_equal(props.doc_alias, alias)
+        prob, alias = build_word_tables(sl.word_src.astype(np.float64))
+        np.testing.assert_array_equal(props.word_prob, prob)
+        np.testing.assert_array_equal(props.word_alias, alias)
 
     def test_word_tables_are_views_without_pools(self):
         # one stacked (V, K) pair whose rows are the scalar builder's
         # tables of the softmax columns; no per-word pool objects
         sl = toy_slice(4, 6, 1, 5, seed=11)
-        props = rebuild_proposals(sl, [0])
+        props = rebuild_proposals(sl, [0], WordTables(sl, 1))
         assert props.word_prob.shape == props.word_alias.shape == (6, 4)
-        weights = np.exp(sl.phi - sl.phi.max(axis=0))
+        src = sl.word_src.astype(np.float64)
+        weights = np.exp(src - src.max(axis=0))
         for w in range(6):
             table = build_alias_table(weights[:, w])
             np.testing.assert_array_equal(props.word_prob[w], table.prob)
@@ -398,6 +410,8 @@ class TestWordTableBudget:
         sl = toy_slice(7, 50, 10, 9, seed=12)        # 90 tokens over 10 docs
         assert WordTables(sl, 4).budget == 6         # ceil(4 * 9 / 7)
         assert WordTables(sl, 100).budget == 13      # all 10 docs: ceil(90 / 7)
+        sl = toy_slice(7, 10, 10, 9, seed=12)        # V = 10 caps the 13
+        assert WordTables(sl, 100).budget == 10
 
     def test_empty_slice_budget_is_one(self):
         sl = SliceState(2, [], np.zeros(3), np.zeros((3, 5)), np.zeros((0, 3)), [])
@@ -438,7 +452,7 @@ class TestTokenSampler:
     def test_self_proposal_always_accepted(self):
         sl = toy_slice(3, 4, 1, 5, seed=5)
         sl.z[0][:] = 1
-        props = rebuild_proposals(sl, [0])
+        props = rebuild_proposals(sl, [0], WordTables(sl, 1))
         rng = rng_for(1, "sp")
         for _ in range(50):
             force_proposals(props, 0, 1, 1)       # proposal = current
@@ -453,7 +467,7 @@ class TestTokenSampler:
         eta = np.array([[0.0, -1.0]])
         phi = np.zeros((k, v))
         sl = SliceState(1, tokens, np.zeros(k), phi, eta, z)
-        props = rebuild_proposals(sl, [0])
+        props = rebuild_proposals(sl, [0], WordTables(sl, 1))
         force_proposals(props, 0, 0, 1)   # doc step: s == z; word step: s = 1
         out = mh_sweep_document(sl, 0, props, rng_for(1, "ar"))
         assert abs((out == 1).mean() - np.exp(-1)) < 0.005
@@ -468,7 +482,7 @@ class TestTokenSampler:
         sl.z[0][:] = 0
         target = softmax(sl.eta[0] + sl.phi[:, w])
         rng = rng_for(2, "chain")
-        props = rebuild_proposals(sl, [0])
+        props = rebuild_proposals(sl, [0], WordTables(sl, 1))
         counts = np.zeros(k)
         for sweep in range(210):
             sl.z[0] = mh_sweep_document(sl, 0, props, rng)
@@ -490,8 +504,9 @@ class TestTokenSampler:
         target = softmax(eta[0] + phi[:, w])
         rng = rng_for(3, "sweep")
         counts = np.zeros(k)
+        tables = WordTables(sl, 1)
         for cycle in range(60):
-            props = rebuild_proposals(sl, [0])
+            props = rebuild_proposals(sl, [0], tables, iteration=cycle)
             sl.z[0] = mh_sweep_document(sl, 0, props, rng)
             if cycle >= 20:
                 counts += np.bincount(sl.z[0], minlength=k)
@@ -513,6 +528,6 @@ class TestTokenSampler:
         # log-space clamp: acceptance paths never exceed one by construction;
         # verify the chain can only ever produce valid topics
         sl = toy_slice(4, 5, 2, 50, seed=9, eta_scale=30.0, phi_scale=30.0)
-        props = rebuild_proposals(sl, [0, 1])
+        props = rebuild_proposals(sl, [0, 1], WordTables(sl, 2))
         out = mh_sweep_document(sl, 0, props, rng_for(5, "hot"))
         assert np.all((0 <= out) & (out < 4))
